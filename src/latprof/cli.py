@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import export, lock_analysis, parsers, profile_agg, sched_analysis, simgen
 from .graph_core import Graph, GraphError, critical_path, detect_cycles, \
     minimum_spanning_tree, shortest_path
-from .trace_model import NS_PER_SEC
 
 _ANALYSIS_ERRORS = (
     parsers.ParseError,
@@ -65,7 +64,7 @@ def _detect(name: str, text: str, override) -> str:
 
 
 def _load_events(args) -> list:
-    """Parse perf-script inputs and merge them in canonical event order."""
+    """Parse perf-script inputs into one event list, in input order."""
     events = []
     for name, text in _read_inputs(args.input):
         fmt = _detect(name, text, getattr(args, "format", None))
@@ -77,7 +76,7 @@ def _load_events(args) -> list:
             print(f"{name}: {len(result.errors)} malformed lines skipped",
                   file=sys.stderr)
         events.extend(result.events)
-    return sched_analysis.canonical_sort(events)
+    return events
 
 
 def _analysis_config(args) -> sched_analysis.AnalysisConfig:
@@ -89,6 +88,14 @@ def _analysis_config(args) -> sched_analysis.AnalysisConfig:
         lookback = int(Fraction(str(args.lookback_ms)) * 10**6)
     return sched_analysis.AnalysisConfig(lock_symbols=lock_symbols,
                                          lookback_ns=lookback)
+
+
+def _wait_summary(args, events):
+    """The off-CPU wait summary, or None when the trace has no sched events."""
+    if not any(ev.event_class == "sched" for ev in events):
+        return None
+    timelines = sched_analysis.build_timelines(events, _analysis_config(args))
+    return sched_analysis.summarize_waits(sched_analysis.attribute_offcpu(timelines))
 
 
 # --- subcommands ---
@@ -164,57 +171,21 @@ def cmd_report(args) -> int:
         profile = profile_agg.flat_profile(events, group_by=group_by)
     except profile_agg.NoSamples:
         profile = []
-    summary = None
-    if any(ev.event_class == "sched" for ev in events):
-        timelines = sched_analysis.build_timelines(events)
-        waits = sched_analysis.attribute_offcpu(timelines, events,
-                                                _analysis_config(args))
-        summary = sched_analysis.summarize_waits(waits)
-    _write_output(export.render_text_report(profile, summary, None,
-                                            top_n=args.top), args.out)
+    _write_output(export.render_text_report(profile, _wait_summary(args, events),
+                                            None, top_n=args.top), args.out)
     return 0
 
 
 def cmd_offcpu(args) -> int:
     events = _load_events(args)
-    timelines = sched_analysis.build_timelines(events)
-    waits = sched_analysis.attribute_offcpu(timelines, events,
-                                            _analysis_config(args))
-    summary = sched_analysis.summarize_waits(waits)
-
-    lines = ["=== Off-CPU wait time by (tid, reason) ==="]
-    if summary.by_tid_reason:
-        lines.append(f"{'tid':>8}  {'reason':<14}  {'seconds':>14}  comm")
-        for (tid, reason), ns in sorted(summary.by_tid_reason.items(),
-                                        key=lambda kv: (kv[0][0], kv[0][1].value)):
-            comm = timelines.by_tid.get(tid).comm if tid in timelines.by_tid else ""
-            lines.append(f"{tid:>8}  {reason.value:<14}  {ns / NS_PER_SEC:14.6f}  {comm}")
-    else:
-        lines.append("(no data)")
-
-    lines.append("")
-    lines.append("=== Top wait stacks ===")
-    ranked = sorted(summary.by_stack.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    shown = [(sig, ns, count) for sig, (ns, count) in ranked if sig][: args.top]
-    if shown:
-        for sig, ns, count in shown:
-            lines.append(f"{ns / NS_PER_SEC:14.6f}s  {count:6d}x  {sig}")
-    else:
-        lines.append("(no data)")
-
-    lines.append("")
-    lines.append("=== Wait duration histogram (log2 buckets, us) ===")
-    if summary.histogram:
-        for bucket, count in sorted(summary.histogram.items()):
-            lo, hi = 2.0 ** bucket, 2.0 ** (bucket + 1)
-            lines.append(f"[{lo:>12.3f}, {hi:>12.3f})  {count}")
-    else:
-        lines.append("(no data)")
-
+    timelines = sched_analysis.build_timelines(events, _analysis_config(args))
+    summary = sched_analysis.summarize_waits(
+        sched_analysis.attribute_offcpu(timelines))
+    comms = {tid: timeline.comm for tid, timeline in timelines.by_tid.items()}
     if timelines.anomalies:
         print(f"{timelines.anomalies} contradictory scheduler transitions ignored",
               file=sys.stderr)
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(export.render_offcpu_report(summary, comms, args.top), args.out)
     return 0
 
 
@@ -319,24 +290,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     events = _load_events(args)
+    # CSV and bulk rows follow event order; every other output sorts inside
+    # build_timelines or does not depend on order
     if args.export_format == "csv":
-        _write_output(export.to_csv(events), args.out)
+        _write_output(export.to_csv(sched_analysis.canonical_sort(events)), args.out)
     elif args.export_format == "bulk":
-        _write_output(export.to_bulk_ndjson(events, index_name=args.index), args.out)
+        _write_output(export.to_bulk_ndjson(sched_analysis.canonical_sort(events),
+                                            index_name=args.index), args.out)
     else:
         try:
             profile = profile_agg.flat_profile(events)
         except profile_agg.NoSamples:
             profile = []
-        summary = None
-        if any(ev.event_class == "sched" for ev in events):
-            timelines = sched_analysis.build_timelines(events)
-            waits = sched_analysis.attribute_offcpu(timelines, events,
-                                                    _analysis_config(args))
-            summary = sched_analysis.summarize_waits(waits)
         histogram = export.events_per_second(events, args.bin_width) if events else None
         pie = export.utilization_pie(events) if events else None
-        _write_output(export.to_report_json(profile, summary, None,
+        _write_output(export.to_report_json(profile, _wait_summary(args, events), None,
                                             histogram, pie), args.out)
     return 0
 
@@ -358,10 +326,20 @@ def _add_input_args(sub, strict=True, input_format=True):
     sub.add_argument("--out", "-o", help="write output to this file")
 
 
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # keep argparse's wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_analysis_args(sub):
     sub.add_argument("--lock-symbols",
                      help="comma-separated stack symbols classified as lock waits")
-    sub.add_argument("--lookback-ms", type=float,
+    sub.add_argument("--lookback-ms", type=_non_negative_float,
                      help="block/network correlation window (default 1 ms)")
 
 

@@ -207,6 +207,11 @@ def _section(title: str) -> str:
     return f"=== {title} ==="
 
 
+def _head(rows: list, top_n: int) -> list:
+    """The first `top_n` rows; a negative `top_n` keeps every row."""
+    return rows[: top_n if top_n >= 0 else None]
+
+
 def render_lock_table(mutex_stats) -> list:
     """The mutrace-style contention table as report lines."""
     lines = [_section("Lock contention")]
@@ -229,7 +234,7 @@ def render_text_report(profile, wait_summary, mutex_stats, top_n: int = 20) -> s
     lines = []
 
     lines.append(_section("Flat profile"))
-    rows = list(profile or [])[: top_n if top_n >= 0 else None]
+    rows = _head(list(profile or []), top_n)
     if rows:
         lines.append(f"{'%':>8}  {'samples':>8}  {'weight':>10}  key")
         for r in rows:
@@ -243,15 +248,48 @@ def render_text_report(profile, wait_summary, mutex_stats, top_n: int = 20) -> s
     lines.append(_section("Off-CPU wait time by reason"))
     if wait_summary is not None and wait_summary.by_tid_reason:
         lines.append(f"{'tid':>8}  {'reason':<14}  {'seconds':>14}")
-        for (tid, reason), ns in sorted(
-            wait_summary.by_tid_reason.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
+        for tid, reason, ns in wait_summary.tid_reason_rows():
             lines.append(f"{tid:>8}  {reason.value:<14}  {ns / NS_PER_SEC:14.6f}")
     else:
         lines.append("(no data)")
 
     lines.append("")
     lines.extend(render_lock_table(mutex_stats))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def render_offcpu_report(wait_summary, comms, top_n: int = 20) -> str:
+    """Fixed-width off-CPU report: totals per (tid, reason) with each tid's
+    comm, the `top_n` heaviest non-empty wait stacks, and the log2
+    duration histogram."""
+    lines = [_section("Off-CPU wait time by (tid, reason)")]
+    if wait_summary.by_tid_reason:
+        lines.append(f"{'tid':>8}  {'reason':<14}  {'seconds':>14}  comm")
+        for tid, reason, ns in wait_summary.tid_reason_rows():
+            lines.append(f"{tid:>8}  {reason.value:<14}  {ns / NS_PER_SEC:14.6f}  "
+                         f"{comms.get(tid, '')}")
+    else:
+        lines.append("(no data)")
+
+    lines.append("")
+    lines.append(_section("Top wait stacks"))
+    ranked = sorted(wait_summary.by_stack.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    shown = _head([(sig, ns, count) for sig, (ns, count) in ranked if sig], top_n)
+    if shown:
+        for sig, ns, count in shown:
+            lines.append(f"{ns / NS_PER_SEC:14.6f}s  {count:6d}x  {sig}")
+    else:
+        lines.append("(no data)")
+
+    lines.append("")
+    lines.append(_section("Wait duration histogram (log2 buckets, us)"))
+    if wait_summary.histogram:
+        for bucket, count in sorted(wait_summary.histogram.items()):
+            lo, hi = 2.0 ** bucket, 2.0 ** (bucket + 1)
+            lines.append(f"[{lo:>12.3f}, {hi:>12.3f})  {count}")
+    else:
+        lines.append("(no data)")
     lines.append("")
     return "\n".join(lines)
 
@@ -274,9 +312,7 @@ def to_report_json(profile=None, wait_summary=None, mutex_stats=None,
     if wait_summary is not None:
         doc["wait_totals"] = [
             {"tid": tid, "reason": reason.value, "blocked_ns": ns}
-            for (tid, reason), ns in sorted(
-                wait_summary.by_tid_reason.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].value))
+            for tid, reason, ns in wait_summary.tid_reason_rows()
         ]
         doc["wait_stacks"] = [
             {"stack": sig, "blocked_ns": ns, "count": count}

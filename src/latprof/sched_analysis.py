@@ -5,9 +5,7 @@ a switch-out closes the thread's Running interval and opens Sleeping (or
 Runnable when it left in state R), a wakeup opens Runnable, a switch-in
 opens Running.  Contradictory transitions (e.g. a wakeup of a thread
 already running) are tallied as anomalies and ignored.  Sleeping and
-Runnable intervals become WaitIntervals; the wait reason comes from the
-opening switch's prev_state, its call stack, the thread's pending syscall,
-and nearby block/network events.
+Runnable intervals become WaitIntervals.
 
 Events are processed in a canonical order: timestamp, then an event-kind
 rank (wakeups, then everything else, then switch-ins, then switch-outs),
@@ -15,12 +13,21 @@ then cpu and event name, keeping input order for remaining ties.  The
 kind rank is what makes same-instant wakeup/switch sequences land in the
 only order the state machine can accept, so reshuffling equal-timestamp
 input never changes totals.
+
+Each wait is classified when its interval opens.  A Runnable interval is
+scheduler delay.  A Sleeping interval's reason comes from the opening
+switch's prev_state and call stack, plus three pieces of per-tid running
+state kept during the same walk: the pending syscall, and the timestamps
+of the latest block and network events.  This is exact, not an
+approximation: every syscall, block and network event has kind rank 1
+and every sched_switch rank 2 or 3, so all such events at or before the
+switch's instant have been seen when the switch is processed, and none
+after it have.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,8 +81,7 @@ class TimelineInterval:
     end: Timestamp
     state: ThreadState
     stack: tuple = ()
-    prev_state: str | None = None  # prev_state of the switch that opened it
-    open_index: int = -1  # canonical event index that opened the interval
+    reason: WaitReason | None = None  # set on Sleeping and Runnable intervals
     truncated: bool = False
 
 
@@ -133,10 +139,9 @@ class _ThreadMachine:
         self.state = ThreadState.UNKNOWN
         self.since = origin
         self.stack = ()
-        self.prev_state = None
-        self.open_index = -1
+        self.reason = None
 
-    def transition(self, ts, new_state, index, stack=(), prev_state=None):
+    def transition(self, ts, new_state, stack=(), reason=None):
         if ts > self.since or self.state is not ThreadState.UNKNOWN:
             self.timeline.intervals.append(
                 TimelineInterval(
@@ -144,15 +149,13 @@ class _ThreadMachine:
                     end=ts,
                     state=self.state,
                     stack=self.stack,
-                    prev_state=self.prev_state,
-                    open_index=self.open_index,
+                    reason=self.reason,
                 )
             )
         self.state = new_state
         self.since = ts
         self.stack = stack
-        self.prev_state = prev_state
-        self.open_index = index
+        self.reason = reason
 
     def finish(self, end: Timestamp):
         self.timeline.intervals.append(
@@ -161,22 +164,24 @@ class _ThreadMachine:
                 end=end,
                 state=self.state,
                 stack=self.stack,
-                prev_state=self.prev_state,
-                open_index=self.open_index,
+                reason=self.reason,
                 truncated=True,
             )
         )
 
 
-def build_timelines(events) -> Timelines:
+def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
     """Apply the per-tid scheduler state machine in canonical event order.
 
     Every tid sighted anywhere in the trace (header or sched args) gets a
     timeline starting in Unknown at the trace origin; tid 0 (the idle task)
     is never tracked.  Open intervals are closed at the last event
     timestamp and flagged truncated, so each timeline tiles the full
-    observation window exactly.
+    observation window exactly.  Sleeping and Runnable intervals carry
+    their wait reason, classified under `config` when they open.
     """
+    if config is None:
+        config = AnalysisConfig()
     ordered = canonical_sort(events)
     result = Timelines()
     if not ordered:
@@ -187,6 +192,9 @@ def build_timelines(events) -> Timelines:
     result.end = end
 
     machines: dict[int, _ThreadMachine] = {}
+    pending_syscall: dict[int, str | None] = {}
+    last_block_ns: dict[int, int] = {}
+    last_net_ns: dict[int, int] = {}
 
     def machine(tid: int) -> _ThreadMachine:
         if tid not in machines:
@@ -197,10 +205,25 @@ def build_timelines(events) -> Timelines:
         if comm:
             machine(tid).timeline.comm = comm
 
-    for index, ev in enumerate(ordered):
+    def recent(last_ns, tid, ts_ns) -> bool:
+        seen = last_ns.get(tid)
+        return seen is not None and seen >= ts_ns - config.lookback_ns
+
+    for ev in ordered:
         if ev.tid > 0:
             note_comm(ev.tid, ev.comm)
-        if ev.event_class != "sched":
+        cls = ev.event_class
+        if cls == "syscalls":
+            name = ev.event_name
+            if name.startswith("sys_enter_"):
+                pending_syscall[ev.tid] = name[len("sys_enter_"):]
+            elif name.startswith("sys_exit_"):
+                pending_syscall[ev.tid] = None
+        elif cls == "block":
+            last_block_ns[ev.tid] = ev.ts.ns
+        elif cls in ("net", "sock", "skb"):
+            last_net_ns[ev.tid] = ev.ts.ns
+        if cls != "sched":
             continue
         name = ev.event_name
         if name == "sched_switch":
@@ -210,23 +233,31 @@ def build_timelines(events) -> Timelines:
                 note_comm(prev, ev.args.get("prev_comm", ""))
                 m = machine(prev)
                 if m.state in (ThreadState.RUNNING, ThreadState.UNKNOWN):
-                    token = ev.args.get("prev_state", "").rstrip("+")
+                    prev_state = ev.args.get("prev_state")
+                    token = (prev_state or "").rstrip("+")
                     if token == "R":
-                        new_state = ThreadState.RUNNABLE
-                    elif token in _SLEEP_TOKENS:
-                        new_state = ThreadState.SLEEPING
+                        m.transition(ev.ts, ThreadState.RUNNABLE, stack=ev.stack,
+                                     reason=WaitReason.SCHEDULER_DELAY)
                     else:
-                        new_state = ThreadState.SLEEPING
-                        result.anomalies += 1
-                    m.transition(ev.ts, new_state, index,
-                                 stack=ev.stack, prev_state=ev.args.get("prev_state"))
+                        if token not in _SLEEP_TOKENS:
+                            result.anomalies += 1
+                        reason = classify_wait(
+                            prev_state,
+                            ev.stack,
+                            pending_syscall.get(prev),
+                            recent(last_block_ns, prev, ev.ts.ns),
+                            recent(last_net_ns, prev, ev.ts.ns),
+                            config.lock_symbols,
+                        )
+                        m.transition(ev.ts, ThreadState.SLEEPING, stack=ev.stack,
+                                     reason=reason)
                 else:
                     result.anomalies += 1
             if nxt is not None and nxt > 0:
                 note_comm(nxt, ev.args.get("next_comm", ""))
                 m = machine(nxt)
                 if m.state in (ThreadState.RUNNABLE, ThreadState.UNKNOWN):
-                    m.transition(ev.ts, ThreadState.RUNNING, index)
+                    m.transition(ev.ts, ThreadState.RUNNING)
                 else:
                     result.anomalies += 1
         elif name.startswith("sched_wakeup") or name == "sched_waking":
@@ -235,7 +266,8 @@ def build_timelines(events) -> Timelines:
                 note_comm(pid, ev.args.get("comm", ""))
                 m = machine(pid)
                 if m.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
-                    m.transition(ev.ts, ThreadState.RUNNABLE, index)
+                    m.transition(ev.ts, ThreadState.RUNNABLE,
+                                 reason=WaitReason.SCHEDULER_DELAY)
                 else:
                     result.anomalies += 1
 
@@ -243,14 +275,6 @@ def build_timelines(events) -> Timelines:
         m.finish(end)
         result.by_tid[tid] = m.timeline
     return result
-
-
-def _pending_name(event_name: str) -> tuple[str, str] | None:
-    if event_name.startswith("sys_enter_"):
-        return ("enter", event_name[len("sys_enter_"):])
-    if event_name.startswith("sys_exit_"):
-        return ("exit", event_name[len("sys_exit_"):])
-    return None
 
 
 def classify_wait(prev_state, stack, pending_syscall, has_block_event,
@@ -270,71 +294,19 @@ def classify_wait(prev_state, stack, pending_syscall, has_block_event,
     return WaitReason.UNKNOWN
 
 
-def attribute_offcpu(timelines: Timelines, events, config: AnalysisConfig = None) -> list:
-    """One WaitInterval per Sleeping/Runnable timeline interval.
+_WAIT_KINDS = {ThreadState.SLEEPING: WaitKind.BLOCKED,
+               ThreadState.RUNNABLE: WaitKind.RUNNABLE}
 
-    `events` must be the list the timelines were built from; both passes
-    share the canonical ordering, which is how interval open positions
-    line up with the pending-syscall replay.
-    """
-    if config is None:
-        config = AnalysisConfig()
-    ordered = canonical_sort(events)
 
-    syscall_changes: dict[int, list] = {}  # tid -> [(index, name or None)]
-    block_ts: dict[int, list] = {}
-    net_ts: dict[int, list] = {}
-    for index, ev in enumerate(ordered):
-        cls = ev.event_class
-        if cls == "syscalls":
-            change = _pending_name(ev.event_name)
-            if change is not None:
-                kind, name = change
-                syscall_changes.setdefault(ev.tid, []).append(
-                    (index, name if kind == "enter" else None)
-                )
-        elif cls == "block":
-            block_ts.setdefault(ev.tid, []).append(ev.ts.ns)
-        elif cls in ("net", "sock", "skb"):
-            net_ts.setdefault(ev.tid, []).append(ev.ts.ns)
-
-    def pending_at(tid, open_index):
-        changes = syscall_changes.get(tid)
-        if not changes or open_index < 0:
-            return None
-        lo = bisect_left(changes, open_index, key=lambda c: c[0])
-        return changes[lo - 1][1] if lo > 0 else None
-
-    def any_in_window(table, tid, start_ns):
-        stamps = table.get(tid)
-        if not stamps:
-            return False
-        lo = bisect_left(stamps, start_ns - config.lookback_ns)
-        hi = bisect_right(stamps, start_ns)
-        return hi > lo
-
-    waits = []
-    for tid in sorted(timelines.by_tid):
-        for iv in timelines.by_tid[tid].intervals:
-            if iv.state is ThreadState.RUNNABLE:
-                waits.append(
-                    WaitInterval(tid, iv.start, iv.end, WaitKind.RUNNABLE,
-                                 WaitReason.SCHEDULER_DELAY, iv.stack, iv.truncated)
-                )
-            elif iv.state is ThreadState.SLEEPING:
-                reason = classify_wait(
-                    iv.prev_state,
-                    iv.stack,
-                    pending_at(tid, iv.open_index),
-                    any_in_window(block_ts, tid, iv.start.ns),
-                    any_in_window(net_ts, tid, iv.start.ns),
-                    config.lock_symbols,
-                )
-                waits.append(
-                    WaitInterval(tid, iv.start, iv.end, WaitKind.BLOCKED,
-                                 reason, iv.stack, iv.truncated)
-                )
-    return waits
+def attribute_offcpu(timelines: Timelines) -> list:
+    """One WaitInterval per Sleeping/Runnable timeline interval, in tid order."""
+    return [
+        WaitInterval(tid, iv.start, iv.end, _WAIT_KINDS[iv.state], iv.reason,
+                     iv.stack, iv.truncated)
+        for tid in sorted(timelines.by_tid)
+        for iv in timelines.by_tid[tid].intervals
+        if iv.reason is not None
+    ]
 
 
 def _log2_bucket_us(dur_ns: int) -> int:
@@ -362,8 +334,11 @@ class WaitSummary:
     def total_ns(self) -> int:
         return sum(self.by_tid_reason.values())
 
-    def tid_total_ns(self, tid: int) -> int:
-        return sum(ns for (t, _), ns in self.by_tid_reason.items() if t == tid)
+    def tid_reason_rows(self) -> list:
+        """(tid, reason, ns) rows ordered by tid, then reason name."""
+        return sorted(((tid, reason, ns)
+                       for (tid, reason), ns in self.by_tid_reason.items()),
+                      key=lambda row: (row[0], row[1].value))
 
     def seconds(self, key) -> Fraction:
         return Fraction(self.by_tid_reason.get(key, 0), NS_PER_SEC)

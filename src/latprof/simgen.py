@@ -147,7 +147,6 @@ class SimResult:
     events: list
     truth: GroundTruth
     acquisitions: list
-    pending_requests: list  # (tid, lock_id, request_ns) never granted
     crit_intervals: dict  # queue -> [(start_ns, end_ns, tid)]
 
 
@@ -180,7 +179,6 @@ class _Simulator:
         self.events = []
         self.truth = GroundTruth()
         self.acquisitions = []
-        self.pending_requests = []
         self.crit_intervals = {q: [] for q in range(cfg.queues)}
         self.occupancy_deltas = {q: [] for q in range(cfg.queues)}
         self.clock = 0
@@ -420,9 +418,7 @@ class _Simulator:
                     (thread.tid, self.sems[thread.blocked_sem].sem_id,
                      thread.blocked_since))
             for lock, (request, grant, seq) in sorted(thread.open_locks.items()):
-                if grant is None:
-                    self.pending_requests.append((thread.tid, lock, request))
-                else:
+                if grant is not None:
                     # granted but never released (wedged in a deadlock):
                     # close at the stop time so the record stays representable
                     self._tagged_acquisitions.append((grant, thread.tid, seq,
@@ -451,7 +447,6 @@ class _Simulator:
             events=[ev for ev in self.events if ev is not None],
             truth=self.truth,
             acquisitions=self.acquisitions,
-            pending_requests=sorted(self.pending_requests),
             crit_intervals=self.crit_intervals,
         )
 
@@ -502,8 +497,8 @@ def replay_check(events, truth: GroundTruth, config: AnalysisConfig = None) -> R
     truncated event stream are flagged as "truncation" rather than
     "mismatch".
     """
-    timelines = build_timelines(events)
-    waits = attribute_offcpu(timelines, events, config)
+    timelines = build_timelines(events, config)
+    waits = attribute_offcpu(timelines)
     summary = summarize_waits(waits)
 
     # a stream that ends before the simulated completion is truncated; all

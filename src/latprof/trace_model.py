@@ -132,8 +132,8 @@ class TraceEvent:
     stack: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.tid <= 0 or self.pid <= 0:
-            raise ValueError(f"pid/tid must be positive, got {self.pid}/{self.tid}")
+        if self.tid < 0 or self.pid < 0:
+            raise ValueError(f"pid/tid must be non-negative, got {self.pid}/{self.tid}")
         if self.cpu < 0:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
 

@@ -182,7 +182,7 @@ def test_criterion_3_conservation_suites():
             window = tls.end - tls.origin
             for timeline in tls.by_tid.values():
                 assert timeline.total_ns() == window
-            waits = attribute_offcpu(tls, events)
+            waits = attribute_offcpu(tls)
             offcpu_ns = sum(
                 iv.end - iv.start
                 for tl in tls.by_tid.values() for iv in tl.intervals

@@ -250,3 +250,93 @@ def test_stdin_input(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "export", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 7
+
+
+IDLE_WAKE_TRACE = (
+    "app 100/100 [000] 1.000000: sched:sched_switch: prev_comm=app "
+    "prev_pid=100 prev_prio=120 prev_state=S ==> next_comm=swapper/0 "
+    "next_pid=0 next_prio=120\n"
+    "\t600000 futex_wait ([kernel.kallsyms])\n"
+    "\t600040 main (app)\n"
+    "\n"
+    "swapper 0/0 [001] 1.500000: sched:sched_wakeup: comm=app pid=100 "
+    "prio=120 target_cpu=000\n"
+    "\n"
+    "swapper 0/0 [000] 1.600000: sched:sched_switch: prev_comm=swapper/0 "
+    "prev_pid=0 prev_prio=120 prev_state=R ==> next_comm=app next_pid=100 "
+    "next_prio=120\n"
+    "\n"
+    "app 100/100 [000] 2.000000: cpu-clock: \n"
+    "\t400040 main (app)\n"
+)
+
+IDLE_WAKE_OFFCPU = (
+    "=== Off-CPU wait time by (tid, reason) ===\n"
+    "     tid  reason                 seconds  comm\n"
+    "     100  Lock                  0.500000  app\n"
+    "     100  SchedulerDelay        0.100000  app\n"
+    "\n"
+    "=== Top wait stacks ===\n"
+    "      0.500000s       1x  futex_wait;main\n"
+    "\n"
+    "=== Wait duration histogram (log2 buckets, us) ===\n"
+    "[   65536.000,   131072.000)  1\n"
+    "[  262144.000,   524288.000)  1\n"
+)
+
+
+def test_offcpu_idle_task_wakeup_golden(tmp_path, capsys):
+    # the idle task's wakeup and switch-in end the wait; tid 0 stays untracked
+    path = tmp_path / "idle.txt"
+    path.write_text(IDLE_WAKE_TRACE)
+    code, out, err = run(capsys, "offcpu", "--input", str(path))
+    assert (code, out, err) == (0, IDLE_WAKE_OFFCPU, "")
+
+
+@pytest.fixture
+def sim_trace(tmp_path, capsys):
+    path = tmp_path / "sim.txt"
+    code, _, _ = run(capsys, "simulate", "--producers", "2", "--consumers", "3",
+                     "--capacity", "1", "--items", "20", "--seed", "5",
+                     "--jitter", "0.3", "--out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_offcpu_negative_top_lists_every_stack(sim_trace, capsys):
+    _, every, _ = run(capsys, "offcpu", "--input", sim_trace, "--top", "1000")
+    code, out, _ = run(capsys, "offcpu", "--input", sim_trace, "--top", "-1")
+    assert code == 0
+    assert out == every
+    stacks = out.split("=== Top wait stacks ===\n")[1].split("\n\n")[0]
+    assert len(stacks.splitlines()) >= 2 and "(no data)" not in stacks
+
+
+def test_negative_lookback_is_usage_error(trace_file, capsys):
+    for verb in (["report"], ["offcpu"], ["export", "--format", "json"]):
+        code, out, err = run(capsys, *verb, "--input", trace_file,
+                             "--lookback-ms", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--lookback-ms: must be >= 0" in err
+    code, _, _ = run(capsys, "offcpu", "--input", trace_file, "--lookback-ms", "0")
+    assert code == 0
+
+
+def test_each_verb_sorts_events_once(sim_trace, capsys, monkeypatch):
+    from latprof import sched_analysis
+
+    calls = []
+    real = sched_analysis.canonical_sort
+
+    def counting(events):
+        calls.append(1)
+        return real(events)
+
+    monkeypatch.setattr(sched_analysis, "canonical_sort", counting)
+    for verb in (["offcpu"], ["report"], ["export", "--format", "json"],
+                 ["export", "--format", "csv"], ["export", "--format", "bulk"]):
+        calls.clear()
+        code, _, _ = run(capsys, *verb, "--input", sim_trace)
+        assert code == 0
+        assert len(calls) == 1, verb

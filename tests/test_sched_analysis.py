@@ -1,9 +1,11 @@
 import random
 
 from latprof.sched_analysis import (
+    AnalysisConfig,
     ThreadState,
     attribute_offcpu,
     build_timelines,
+    canonical_sort,
     classify_wait,
     summarize_waits,
 )
@@ -38,6 +40,10 @@ def wakeup(ts, pid, cpu=0, waker_tid=99, comm="t"):
 def syscall(ts, tid, name, kind="enter"):
     return TraceEvent("app", tid, tid, 0, Timestamp.parse(str(ts)),
                       f"syscalls:sys_{kind}_{name}")
+
+
+def traced(ts, tid, event):
+    return TraceEvent("app", tid, tid, 0, Timestamp.parse(str(ts)), event)
 
 
 def states(timeline):
@@ -150,7 +156,7 @@ def test_attribution_completeness_random_streams():
             else:
                 events.append(wakeup(f"{t / 1e9:.9f}", tid))
         tls = build_timelines(events)
-        waits = attribute_offcpu(tls, events)
+        waits = attribute_offcpu(tls)
         expected = sum(
             iv.end - iv.start
             for tl in tls.by_tid.values()
@@ -168,22 +174,30 @@ def test_attribution_completeness_random_streams():
 
 
 def test_equal_timestamp_permutation_determinism():
-    # wake and switch-in at the same instant, plus an immediate re-block
+    # wake and switch-in at the same instant, plus an immediate re-block;
+    # syscall, block and net events share instants with the switches
     base = [
+        traced(1.0, 7, "net:net_dev_xmit"),
         switch(1.0, 7, "S", 0),
         wakeup(2.0, 7),
         switch(2.0, 0, "R", 7, cpu=1),
+        syscall(2.0, 7, "nanosleep"),
         switch(2.0, 7, "S", 0, cpu=1),
         wakeup(3.0, 7),
         switch(3.0, 0, "R", 7),
+        syscall(3.0, 7, "nanosleep", "exit"),
+        traced(4.0, 7, "block:block_rq_issue"),
         switch(4.0, 7, "S", 0),
     ]
-    reference = summarize_waits(attribute_offcpu(build_timelines(base), base))
+    reference = summarize_waits(attribute_offcpu(build_timelines(base)))
+    assert {reason for _, reason in reference.by_tid_reason} == {
+        WaitReason.NETWORK, WaitReason.TIMER, WaitReason.BLOCK_IO,
+        WaitReason.SCHEDULER_DELAY}
     rng = random.Random(41)
     for _ in range(20):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        summary = summarize_waits(attribute_offcpu(build_timelines(shuffled), shuffled))
+        summary = summarize_waits(attribute_offcpu(build_timelines(shuffled)))
         assert summary.by_tid_reason == reference.by_tid_reason
         assert summary.histogram == reference.histogram
 
@@ -192,7 +206,7 @@ def test_attribute_lock_stack():
     lock_stack = (Frame(symbol="futex_wait", dso="[kernel]"),
                   Frame(symbol="main", dso="app"))
     events = [switch(1.0, 2, "S", 0, stack=lock_stack), wakeup(2.0, 2)]
-    waits = attribute_offcpu(build_timelines(events), events)
+    waits = attribute_offcpu(build_timelines(events))
     blocked = [w for w in waits if w.kind is WaitKind.BLOCKED]
     assert blocked[0].reason is WaitReason.LOCK
     assert blocked[0].stack == lock_stack
@@ -200,7 +214,7 @@ def test_attribute_lock_stack():
 
 def test_attribute_runnable_is_scheduler_delay():
     events = [switch(1.0, 2, "R", 0), switch(2.0, 0, "R", 2)]
-    waits = attribute_offcpu(build_timelines(events), events)
+    waits = attribute_offcpu(build_timelines(events))
     runnable = [w for w in waits if w.kind is WaitKind.RUNNABLE]
     assert runnable and all(w.reason is WaitReason.SCHEDULER_DELAY for w in runnable)
 
@@ -209,7 +223,7 @@ def test_attribute_block_event_within_window():
     block_ev = TraceEvent("app", 2, 2, 0, Timestamp.parse("0.9995"),
                           "block:block_rq_issue")
     events = [block_ev, switch(1.0, 2, "D", 0), wakeup(2.0, 2)]
-    waits = attribute_offcpu(build_timelines(events), events)
+    waits = attribute_offcpu(build_timelines(events))
     blocked = [w for w in waits if w.kind is WaitKind.BLOCKED and w.tid == 2]
     assert blocked[0].reason is WaitReason.BLOCK_IO
 
@@ -224,10 +238,99 @@ def test_pending_syscall_tracked_through_exit():
         switch(2.0, 2, "S", 0),   # no pending syscall anymore
         wakeup(2.5, 2),
     ]
-    waits = [w for w in attribute_offcpu(build_timelines(events), events)
+    waits = [w for w in attribute_offcpu(build_timelines(events))
              if w.kind is WaitKind.BLOCKED]
     assert waits[0].reason is WaitReason.LOCK
     assert waits[1].reason is WaitReason.UNKNOWN
+
+
+def _random_correlated_stream(rng):
+    """Sched, syscall, block and net events, many sharing a switch's instant.
+
+    Each tid switches out at most once per instant, so a blocked wait's
+    (tid, start) names its opening switch.
+    """
+    events = []
+    switched_out = set()
+    t = rng.randrange(0, 3 * 10**6)
+    for _ in range(rng.randint(5, 40)):
+        t += rng.choice([0, 0, 0, 1, 999_999, 10**6, 10**6 + 1, 4 * 10**6,
+                         5 * 10**6, 6 * 10**6])
+        for _ in range(rng.randint(1, 4)):
+            tid = rng.randint(1, 3)
+            roll = rng.random()
+            if roll < 0.3 and (tid, t) not in switched_out:
+                switched_out.add((tid, t))
+                stack = rng.choice([(), (Frame(symbol="futex_wait"),),
+                                    (Frame(symbol="main"),)])
+                events.append(TraceEvent(
+                    "app", tid, tid, rng.randint(0, 1), Timestamp(t),
+                    "sched:sched_switch", stack=stack,
+                    args={"prev_pid": str(tid),
+                          "prev_state": rng.choice(["S", "D", "R", "Wq"]),
+                          "next_pid": str(rng.choice([0, 0, rng.randint(1, 3)]))}))
+            elif roll < 0.45:
+                events.append(TraceEvent(
+                    "app", tid, tid, 0, Timestamp(t), "sched:sched_wakeup",
+                    args={"pid": str(rng.randint(1, 3))}))
+            elif roll < 0.75:
+                name = rng.choice(["futex", "read", "recvmsg", "nanosleep", "getpid"])
+                kind = rng.choice(["enter", "exit"])
+                events.append(TraceEvent("app", tid, tid, 0, Timestamp(t),
+                                         f"syscalls:sys_{kind}_{name}"))
+            elif roll < 0.85:
+                events.append(TraceEvent("app", tid, tid, 0, Timestamp(t),
+                                         "block:block_rq_issue"))
+            else:
+                events.append(TraceEvent("app", tid, tid, 0, Timestamp(t),
+                                         rng.choice(["net:net_dev_xmit",
+                                                     "sock:inet_sock_set_state",
+                                                     "skb:kfree_skb"])))
+    rng.shuffle(events)
+    return events
+
+
+def _reference_reason(ordered, tid, start_ns, lookback_ns):
+    """Brute-force wait reason for the switch that took `tid` off at `start_ns`."""
+    (pos,) = [
+        i for i, ev in enumerate(ordered)
+        if ev.event == "sched:sched_switch" and ev.args["prev_pid"] == str(tid)
+        and ev.ts.ns == start_ns
+    ]
+    pending = None
+    for ev in ordered[:pos]:
+        if ev.tid == tid and ev.event.startswith("syscalls:sys_enter_"):
+            pending = ev.event[len("syscalls:sys_enter_"):]
+        elif ev.tid == tid and ev.event.startswith("syscalls:sys_exit_"):
+            pending = None
+
+    def seen(classes):
+        return any(
+            ev.tid == tid and ev.event.split(":")[0] in classes
+            and start_ns - lookback_ns <= ev.ts.ns <= start_ns
+            for ev in ordered
+        )
+
+    opening = ordered[pos]
+    return classify_wait(opening.args["prev_state"], opening.stack, pending,
+                         seen({"block"}), seen({"net", "sock", "skb"}))
+
+
+def test_wait_reasons_match_brute_force_reference():
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(500):
+        events = _random_correlated_stream(rng)
+        ordered = canonical_sort(events)
+        for lookback_ns in (0, 10**6, 5 * 10**6):
+            tls = build_timelines(events, AnalysisConfig(lookback_ns=lookback_ns))
+            for w in attribute_offcpu(tls):
+                if w.kind is not WaitKind.BLOCKED:
+                    continue
+                assert w.reason is _reference_reason(ordered, w.tid, w.start.ns,
+                                                     lookback_ns)
+                checked += 1
+    assert checked > 1000
 
 
 # --- classify_wait rule table ---

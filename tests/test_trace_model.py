@@ -87,9 +87,9 @@ def test_event_derives_class_and_name():
 
 def test_event_rejects_nonpositive_ids():
     with pytest.raises(ValueError):
-        TraceEvent("x", 0, 1, 0, Timestamp(0), "cpu-clock")
+        TraceEvent("x", -1, 1, 0, Timestamp(0), "cpu-clock")
     with pytest.raises(ValueError):
-        TraceEvent("x", 1, 0, 0, Timestamp(0), "cpu-clock")
+        TraceEvent("x", 1, -1, 0, Timestamp(0), "cpu-clock")
 
 
 def test_duration_exact_nanoseconds():
