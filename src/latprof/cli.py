@@ -216,6 +216,9 @@ def cmd_locks(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.input and len(args.input) > 1:
+        print("latprof graph: error: graph takes one --input", file=sys.stderr)
+        return 2
     ((name, text),) = _read_inputs(args.input)
     graph = Graph.parse_edge_list(text, directed=not args.undirected)
     lines = []

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trace_model import Frame, Timestamp, TraceEvent
+from .trace_model import NS_PER_SEC, Frame, Timestamp, TraceEvent
 
 
 class ParseError(Exception):
@@ -84,7 +84,12 @@ _FRAME_RE = re.compile(
     r"\((?P<dso>[^)]*)\)\s*$"
 )
 
-_KEYVAL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
+# A key=value payload: whitespace-separated tokens, each a key=value pair
+# or the "==>" separator.  `\s` matches exactly the characters str.split()
+# splits on, so this accepts the payloads whose every token fits the
+# key=value grammar, and findall then yields their pairs in order.
+_PAYLOAD_RE = re.compile(r"\s*(?:(?:==>|[A-Za-z_][A-Za-z0-9_]*=\S*)(?:\s+|\Z))*")
+_KEYVAL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(\S*)")
 
 
 @dataclass
@@ -96,33 +101,19 @@ class PerfParse:
 
 
 def _parse_payload(payload: str) -> dict:
-    payload = payload.strip()
-    if not payload:
-        return {}
-    args = {}
-    for token in payload.split():
-        if token == "==>":
-            continue
-        m = _KEYVAL_RE.match(token)
-        if m is None:
-            return {"raw": payload}
-        args[m.group(1)] = m.group(2)
-    return args
+    if _PAYLOAD_RE.fullmatch(payload) is None:
+        return {"raw": payload.strip()}
+    return dict(_KEYVAL_RE.findall(payload))
 
 
 def _frame_from_match(m) -> Frame:
-    sym = m.group("sym").strip()
-    if sym in ("", "[unknown]"):
-        symbol = None
-    else:
-        symbol = sym
-    off = m.group("off")
-    dso = m.group("dso").strip() or None
+    addr, sym, off, dso = m.groups()
+    sym = sym.strip()
     return Frame(
-        address=int(m.group("addr"), 16),
-        symbol=symbol,
+        address=int(addr, 16),
+        symbol=None if sym in ("", "[unknown]") else sym,
         offset=int(off, 16) if off is not None else None,
-        dso=dso,
+        dso=dso.strip() or None,
     )
 
 
@@ -133,6 +124,10 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
     as MalformedLine errors and parsing continues; strict mode raises on
     the first such line.  Lenient parsing never raises: every line is an
     event header, a frame, a blank, or a reported error.
+
+    Each distinct frame line, stack and payload text is parsed once per
+    call: events share interned `Frame` objects and stack tuples, and each
+    event gets its own copy of its args dict.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -141,7 +136,10 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
 
     events = []
     errors = []
-    pending = None  # (lineno, header match, frames)
+    frames = {}  # frame-line text -> Frame
+    stacks = {}  # the block's frame-line texts -> stack tuple
+    payloads = {}  # payload text -> args, copied for each event
+    pending = None  # (lineno, header groups, frame-line texts)
 
     def fail(err: MalformedLine):
         if strict:
@@ -152,29 +150,38 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
         nonlocal pending
         if pending is None:
             return
-        lineno, m, frames = pending
+        lineno, groups, texts = pending
         pending = None
-        pid = int(m.group("pid"))
-        tid = int(m.group("tid")) if m.group("tid") is not None else pid
+        comm, pid, tid, cpu, ts, period, event, payload = groups
+        pid = int(pid)
+        tid = int(tid) if tid is not None else pid
+        texts = tuple(texts)
+        stack = stacks.get(texts)
+        if stack is None:
+            stack = stacks[texts] = tuple(frames[text] for text in texts)
+        args = payloads.get(payload)
+        if args is None:
+            args = payloads[payload] = _parse_payload(payload)
+        whole, _, frac = ts.partition(".")  # the header grammar makes it digits.digits
         try:
             events.append(
                 TraceEvent(
-                    comm=m.group("comm"),
+                    comm=comm,
                     pid=pid,
                     tid=tid,
-                    cpu=int(m.group("cpu")),
-                    ts=Timestamp.parse(m.group("ts")),
-                    event=m.group("event"),
-                    args=_parse_payload(m.group("payload")),
-                    period=int(m.group("period") or 1),
-                    stack=tuple(frames),
+                    cpu=int(cpu),
+                    ts=Timestamp(int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0"))),
+                    event=event,
+                    args=dict(args),
+                    period=int(period or 1),
+                    stack=stack,
                 )
             )
         except ValueError as exc:
             fail(MalformedLine(lineno, lines[lineno - 1], str(exc)))
 
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
+        if not line or line.isspace():
             flush()
             continue
         if line[0] not in " \t":
@@ -183,16 +190,18 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             if m is None:
                 fail(MalformedLine(lineno, line, "unrecognized event header"))
                 continue
-            pending = (lineno, m, [])
+            pending = (lineno, m.groups(), [])
         else:
-            m = _FRAME_RE.match(line)
-            if m is None:
-                fail(MalformedLine(lineno, line, "unrecognized stack frame"))
-                continue
+            if line not in frames:
+                m = _FRAME_RE.match(line)
+                if m is None:
+                    fail(MalformedLine(lineno, line, "unrecognized stack frame"))
+                    continue
+                frames[line] = _frame_from_match(m)
             if pending is None:
                 fail(MalformedLine(lineno, line, "stack frame outside a sample block"))
                 continue
-            pending[2].append(_frame_from_match(m))
+            pending[2].append(line)
     flush()
     return PerfParse(events=events, errors=errors)
 

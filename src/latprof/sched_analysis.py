@@ -111,7 +111,7 @@ def _kind_rank(event) -> int:
         return 0
     if name == "sched_switch":
         next_pid = event.args.get("next_pid", "")
-        if next_pid.isdigit() and int(next_pid) > 0:
+        if next_pid.isdecimal() and int(next_pid) > 0:
             return 2  # switches a thread in
         return 3  # pure switch-out (to idle)
     return 1
@@ -130,7 +130,7 @@ def canonical_sort(events) -> list:
 
 def _int_arg(event, key) -> int | None:
     value = event.args.get(key, "")
-    return int(value) if value.isdigit() else None
+    return int(value) if value.isdecimal() else None
 
 
 class _ThreadMachine:
@@ -359,11 +359,14 @@ class WaitSummary:
 
 def summarize_waits(intervals) -> WaitSummary:
     summary = WaitSummary()
+    signatures = {}  # stack -> its signature
     for w in intervals:
         ns = w.end - w.start
         key = (w.tid, w.reason)
         summary.by_tid_reason[key] = summary.by_tid_reason.get(key, 0) + ns
-        sig = stack_signature(w.stack)
+        sig = signatures.get(w.stack)
+        if sig is None:
+            sig = signatures[w.stack] = stack_signature(w.stack)
         cur = summary.by_stack.setdefault(sig, [0, 0])
         cur[0] += ns
         cur[1] += 1

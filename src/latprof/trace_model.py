@@ -36,7 +36,7 @@ def classify_event(event_name: str) -> str:
     return "other"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """A point in trace time, stored as integer nanoseconds."""
 
@@ -58,7 +58,7 @@ class Timestamp:
             whole, frac = text.split(".", 1)
         else:
             whole, frac = text, ""
-        if not (whole.isdigit() and (frac == "" or frac.isdigit())):
+        if not (whole.isdecimal() and (frac == "" or frac.isdecimal())):
             raise ValueError(f"bad timestamp {text!r}")
         frac = (frac + "000000000")[:9]
         return cls(int(whole) * NS_PER_SEC + int(frac))
@@ -92,7 +92,7 @@ class Timestamp:
         return self.ns - other.ns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """One call-stack frame: code address, symbol, offset, and image."""
 
@@ -111,12 +111,13 @@ class Frame:
         return f"0x{self.address:x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One timestamped profiler event, with an optional call stack.
 
     `event` keeps the original qualified name ("sched:sched_switch",
-    "cpu-clock"); the class and short name derive from it.  `stack` is
+    "cpu-clock"); `event_class` and `event_name` (the short name) are
+    derived from it once, at construction.  `stack` is
     leaf-first (innermost frame at index 0), matching perf script print
     order.  `comm` is captured per event because it can change at exec.
     """
@@ -130,20 +131,16 @@ class TraceEvent:
     args: dict = field(default_factory=dict)
     period: int = 1
     stack: tuple = ()
+    event_class: str = field(init=False, compare=False, repr=False)
+    event_name: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tid < 0 or self.pid < 0:
             raise ValueError(f"pid/tid must be non-negative, got {self.pid}/{self.tid}")
         if self.cpu < 0:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
-
-    @property
-    def event_class(self) -> str:
-        return classify_event(self.event)
-
-    @property
-    def event_name(self) -> str:
-        return self.event.split(":", 1)[-1]
+        object.__setattr__(self, "event_class", classify_event(self.event))
+        object.__setattr__(self, "event_name", self.event.split(":", 1)[-1])
 
     def leaf(self) -> Frame | None:
         return self.stack[0] if self.stack else None

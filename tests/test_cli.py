@@ -171,6 +171,15 @@ def test_graph_requires_mode(tmp_path, capsys):
     assert code == 1
 
 
+def test_graph_takes_one_input(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text("a b 1\n")
+    code, out, err = run(capsys, "graph", "--input", str(path), "--input",
+                         str(path), "--mst")
+    assert (code, out) == (2, "")
+    assert "graph takes one --input" in err
+
+
 def test_simulate_check_exit_zero(capsys):
     code, out, _ = run(capsys, "simulate", "--producers", "2", "--consumers", "2",
                        "--capacity", "4", "--items", "100", "--seed", "7",
@@ -291,6 +300,18 @@ def test_offcpu_idle_task_wakeup_golden(tmp_path, capsys):
     path.write_text(IDLE_WAKE_TRACE)
     code, out, err = run(capsys, "offcpu", "--input", str(path))
     assert (code, out, err) == (0, IDLE_WAKE_OFFCPU, "")
+
+
+def test_offcpu_non_ascii_digit_pid_is_not_a_pid(tmp_path, capsys):
+    # "²".isdigit() holds but int() rejects it: such a next_pid must read
+    # as a non-number, like "abc", not abort the analysis
+    outputs = []
+    for next_pid in ("²", "abc"):
+        path = tmp_path / "trace.txt"
+        path.write_text(IDLE_WAKE_TRACE.replace("next_pid=0 ", f"next_pid={next_pid} ", 1),
+                        encoding="utf-8")
+        outputs.append(run(capsys, "offcpu", "--input", str(path)))
+    assert outputs[0] == outputs[1] == (0, IDLE_WAKE_OFFCPU, "")
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latprof.parsers import (
     MalformedLine,
@@ -17,6 +19,7 @@ from latprof.parsers import (
 from latprof.trace_model import Timestamp
 
 import listings
+import perf_script_reference
 
 
 # --- perf script ---
@@ -107,6 +110,118 @@ def test_perf_script_lenient_never_raises_on_noise():
     res = parse_perf_script(noise)
     assert res.events == []
     assert res.errors  # reported, not raised
+
+
+def test_perf_script_interns_frames_and_stacks(monkeypatch):
+    from latprof import parsers
+
+    built = []
+    real = parsers._frame_from_match
+
+    def counting(m):
+        built.append(m.group(0))
+        return real(m)
+
+    monkeypatch.setattr(parsers, "_frame_from_match", counting)
+    block = "\t600000 futex_wait ([kernel.kallsyms])\n\t600040 main (app)\n"
+    text = (
+        "app 7/7 [000] 1.0: sched:sched_switch: prev_pid=7 prev_state=S\n" + block
+        + "\napp 7/7 [000] 2.0: sched:sched_switch: prev_pid=7 prev_state=S\n" + block
+        + "\napp 7/7 [000] 3.0: cpu-clock: \n\t600040 main (app)\n"
+    )
+    first, second, sample = parse_perf_script(text).events
+    assert first.stack == second.stack and first.stack is second.stack
+    assert sample.stack[0] is first.stack[1]
+    assert first.args == second.args and first.args is not second.args
+    assert sorted(built) == sorted(set(block.splitlines()))
+
+
+def _perf_script_outcome(parse, source, strict):
+    """Events and errors of a lenient parse, or the first error of a strict one."""
+    try:
+        res = parse(source, strict=strict)
+    except MalformedLine as err:
+        return "raised", err.lineno, err.reason, err.line
+    return ([(ev, list(ev.args.items())) for ev in res.events],
+            [(err.lineno, err.reason, err.line) for err in res.errors])
+
+
+# whitespace inside a line, and characters that str.splitlines() also breaks on
+_PERF_WS = st.sampled_from([" ", "  ", "\t", " ", " ", "　"])
+_PERF_ANY_WS = st.one_of(_PERF_WS, st.sampled_from(["\x0b", "\x1c", "\x85", " "]))
+_PERF_KEYVAL = st.sampled_from(["==>", "a=b=c", "k=", "prev_pid=7", "next_pid=²",
+                                "prev_state=S", "_x=0x1f", "comm=a:b"])
+_PERF_TOKEN = st.one_of(
+    _PERF_KEYVAL,
+    st.sampled_from(["1k=v", "=v", "a", "==>x"]),
+    st.text(alphabet="ab_1=>:", max_size=5),
+)
+_PERF_PAYLOAD = st.builds(
+    lambda lead, tokens: lead + "".join(tok + sep for tok, sep in tokens),
+    st.sampled_from(["", " ", " "]),
+    st.one_of(st.lists(st.tuples(_PERF_KEYVAL, _PERF_WS), max_size=4),
+              st.lists(st.tuples(_PERF_TOKEN, _PERF_ANY_WS), max_size=4)),
+)
+
+
+def _perf_header(comms, ids, cpus, stamps, events, ws):
+    return st.builds(
+        lambda comm, ids, cpu, ts, period, event, ws, payload:
+            f"{comm}{ws}{ids}{ws}[{cpu}]{ws}{ts}:{ws}{period}{event}:{payload}",
+        st.sampled_from(comms), st.sampled_from(ids), st.sampled_from(cpus),
+        st.sampled_from(stamps), st.sampled_from(["", "250 ", "1"]),
+        st.sampled_from(events), ws, _PERF_PAYLOAD,
+    )
+
+
+_PERF_EVENTS = ["cpu-clock", "sched:sched_switch", "sched:sched_wakeup", "probe:a:b",
+                "syscalls:sys_enter_read"]
+_PERF_HEADER = st.one_of(
+    _perf_header(["app", "swapper/0", "a-b"], ["7/7", "7", "0/0", "12/34"],
+                 ["000", "3"], ["1.5", "12.0000000019", "0.000000001", "٣.5"],
+                 _PERF_EVENTS, _PERF_WS),
+    _perf_header(["app", "x y"], ["7/7", "²/1", "7/x"], ["000", "", "x"],
+                 ["1.5", "1.", "1.5x"], _PERF_EVENTS + ["bad event"], _PERF_ANY_WS),
+)
+
+
+def _perf_frame(addrs, syms, dsos):
+    return st.builds(
+        lambda lead, addr, sym, dso, tail: f"{lead}{addr} {sym} ({dso}){tail}",
+        st.sampled_from(["\t", "    ", "  "]), st.sampled_from(addrs),
+        st.sampled_from(syms), st.sampled_from(dsos), st.sampled_from(["", " ", " "]),
+    )
+
+
+_PERF_FRAME = st.one_of(
+    _perf_frame(["400000", "ffffffff8105e123", "400040"],
+                ["main", "deflate+0x10", "[unknown]", "", "a b", "f+0xzz"],
+                ["libc.so", "", "[kernel.kallsyms]"]),
+    _perf_frame(["400000", "zz", ""], ["main"], ["libc.so", "a)b"]),
+)
+# a sample block (header and frames), or any single line
+_PERF_LINES = st.one_of(
+    st.builds(lambda header, frames: [header] + frames,
+              _PERF_HEADER, st.lists(_PERF_FRAME, max_size=3)),
+    st.one_of(
+        _PERF_HEADER,
+        _PERF_FRAME,
+        st.sampled_from(["", " ", "\t", " ", "   "]),
+        st.text(alphabet=" \tab1:/[].=> \x85", max_size=12),
+    ).map(lambda line: [line]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PERF_LINES, max_size=6), st.booleans())
+def test_perf_script_matches_reference_parser(groups, as_text):
+    # the interning parser gives the events, error lines and reasons of the
+    # line-at-a-time reference, in lenient mode and (first error) in strict mode
+    lines = [line for group in groups for line in group]
+    source = "\n".join(lines) if as_text else [line + "\n" for line in lines]
+    for strict in (False, True):
+        assert _perf_script_outcome(parse_perf_script, source, strict) == \
+            _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
 
 
 # --- gprof ---

@@ -56,6 +56,13 @@ def test_timestamp_rejects_negative_and_garbage():
         Timestamp.parse("abc")
 
 
+def test_timestamp_parse_rejects_non_ascii_digits():
+    # str.isdigit accepts superscripts that int() does not
+    for text in ("1.²", "².5", "²"):
+        with pytest.raises(ValueError, match="bad timestamp"):
+            Timestamp.parse(text)
+
+
 def test_timestamp_format_truncates_milliseconds():
     assert Timestamp.parse("1.2349").format_ms() == "1.234"
     assert Timestamp(999_999).format_ms() == "0.000"
@@ -83,6 +90,19 @@ def test_event_derives_class_and_name():
     sample = TraceEvent("gzip", 1, 1, 0, Timestamp(0), "cpu-clock")
     assert sample.event_class == "cpu-clock"
     assert sample.event_name == "cpu-clock"
+
+
+def test_event_class_and_name_are_stored_not_compared():
+    for event, cls, name in [("cpu-clock", "cpu-clock", "cpu-clock"),
+                             ("sched:sched_switch", "sched", "sched_switch"),
+                             ("syscalls:sys_enter:x", "syscalls", "sys_enter:x"),
+                             ("probe:a:b", "other", "a:b")]:
+        ev = TraceEvent("app", 1, 1, 0, Timestamp(0), event)
+        assert (ev.event_class, ev.event_name) == (cls, name)
+        assert (ev.event_class, ev.event_name) == (
+            classify_event(event), event.split(":", 1)[-1])
+        assert "event_class" not in repr(ev)
+        assert ev == TraceEvent("app", 1, 1, 0, Timestamp(0), event)
 
 
 def test_event_rejects_nonpositive_ids():
