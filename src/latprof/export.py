@@ -350,6 +350,13 @@ def to_report_json(profile=None, wait_summary=None, mutex_stats=None,
 # perf-script text renderer (the inverse of parsers.parse_perf_script)
 
 
+def _frame_line(frame) -> str:
+    symbol = frame.symbol if frame.symbol else "[unknown]"
+    offset = f"+0x{frame.offset:x}" if frame.offset is not None else ""
+    dso = frame.dso if frame.dso else "[unknown]"
+    return f"\n\t{frame.address or 0:x} {symbol}{offset} ({dso})"
+
+
 def render_perf_script(events) -> str:
     """Write events in the perf-script text grammar the parsers accept.
 
@@ -358,6 +365,7 @@ def render_perf_script(events) -> str:
     address render address 0.
     """
     blocks = []
+    stack_text = {}  # stack -> its frame lines, formatted once per call
     for ev in events:
         if "raw" in ev.args and len(ev.args) == 1:
             payload = ev.args["raw"]
@@ -366,11 +374,9 @@ def render_perf_script(events) -> str:
         period = f"{ev.period} " if ev.period != 1 else ""
         header = (f"{ev.comm} {ev.pid}/{ev.tid} [{ev.cpu:03d}] "
                   f"{ev.ts.format(9)}: {period}{ev.event}: {payload}".rstrip())
-        lines = [header]
-        for frame in ev.stack:
-            symbol = frame.symbol if frame.symbol else "[unknown]"
-            offset = f"+0x{frame.offset:x}" if frame.offset is not None else ""
-            dso = frame.dso if frame.dso else "[unknown]"
-            lines.append(f"\t{frame.address or 0:x} {symbol}{offset} ({dso})")
-        blocks.append("\n".join(lines))
+        frames = stack_text.get(ev.stack)
+        if frames is None:
+            frames = stack_text[ev.stack] = "".join(
+                _frame_line(frame) for frame in ev.stack)
+        blocks.append(header + frames)
     return "\n\n".join(blocks) + "\n" if blocks else ""

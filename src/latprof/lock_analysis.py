@@ -40,16 +40,14 @@ class LockAcquisition:
         if not self.request_ts <= self.grant_ts <= self.release_ts:
             raise ValueError("acquisition times must satisfy request <= grant <= release")
 
-    def wait_ms(self) -> Fraction:
-        return Fraction(self.grant_ts - self.request_ts, NS_PER_MS)
-
 
 def contention_stats(acquisitions) -> list:
     """Per-lock MutexStats: grant counts, owner changes, and wait times.
 
     locked counts grants; contended counts grants that had to wait
     (grant_ts > request_ts); total/avg/max are of (grant - request) in
-    milliseconds with avg = total / locked, all exact rationals.
+    milliseconds with avg = total / locked, all exact rationals (waits add
+    up as integer nanoseconds, then convert once).
     """
     by_lock: dict[int, list] = {}
     for index, acq in enumerate(acquisitions):
@@ -59,12 +57,12 @@ def contention_stats(acquisitions) -> list:
     for lock_id in sorted(by_lock):
         grants = [acq for _, _, acq in sorted(by_lock[lock_id], key=lambda g: g[:2])]
         locked = len(grants)
-        contended = sum(1 for a in grants if a.grant_ts > a.request_ts)
+        waits_ns = [a.grant_ts.ns - a.request_ts.ns for a in grants]
+        contended = sum(1 for w in waits_ns if w > 0)
         changed = sum(
             1 for prev, cur in zip(grants, grants[1:]) if prev.tid != cur.tid
         )
-        waits = [a.wait_ms() for a in grants]
-        total = sum(waits, Fraction(0))
+        total = Fraction(sum(waits_ns), NS_PER_MS)
         stats.append(
             MutexStats(
                 mutex_id=lock_id,
@@ -73,7 +71,7 @@ def contention_stats(acquisitions) -> list:
                 contended=contended,
                 total_ms=total,
                 avg_ms=total / locked if locked else Fraction(0),
-                max_ms=max(waits) if waits else Fraction(0),
+                max_ms=Fraction(max(waits_ns), NS_PER_MS) if waits_ns else Fraction(0),
                 flags="",
             )
         )

@@ -153,8 +153,6 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
         lineno, groups, texts = pending
         pending = None
         comm, pid, tid, cpu, ts, period, event, payload = groups
-        pid = int(pid)
-        tid = int(tid) if tid is not None else pid
         texts = tuple(texts)
         stack = stacks.get(texts)
         if stack is None:
@@ -164,11 +162,13 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             args = payloads[payload] = _parse_payload(payload)
         whole, _, frac = ts.partition(".")  # the header grammar makes it digits.digits
         try:
+            # int() raises ValueError past the interpreter's digit limit
+            pid = int(pid)
             events.append(
                 TraceEvent(
                     comm=comm,
                     pid=pid,
-                    tid=tid,
+                    tid=int(tid) if tid is not None else pid,
                     cpu=int(cpu),
                     ts=Timestamp(int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0"))),
                     event=event,
@@ -482,13 +482,30 @@ def parse_strace(text: str) -> list:
 # format sniffing (used by the CLI's auto-detection)
 
 
+_SNIFF_LINES = 50
+_SNIFF_PREFIX_CHARS = 1 << 16
+
+
+def _first_lines(text: str) -> list:
+    """``text.splitlines()[:_SNIFF_LINES]``, splitting only a prefix.
+
+    When the prefix holds more lines than needed, its first lines ended
+    inside it, so they equal the whole text's (a cut through a ``\r\n``
+    pair can only touch the prefix's last line); otherwise split it all.
+    """
+    lines = text[:_SNIFF_PREFIX_CHARS].splitlines()
+    if len(lines) <= _SNIFF_LINES:
+        lines = text.splitlines()
+    return lines[:_SNIFF_LINES]
+
+
 def sniff_format(text: str) -> str | None:
     """Guess which of the five grammars a file uses from its first lines.
 
     Returns one of perf/gprof/oprofile/mutrace/strace/acquisitions, or
     None when nothing matches.
     """
-    head = [ln for ln in text.splitlines()[:50] if ln.strip()]
+    head = [ln for ln in _first_lines(text) if ln.strip()]
     for line in head[:12]:
         stripped = line.strip()
         if stripped.startswith("Mutex #") or stripped.startswith("mutrace:"):

@@ -32,6 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .lock_analysis import LockAcquisition
 from .sched_analysis import (
@@ -143,11 +144,28 @@ class GroundTruth:
 
 @dataclass
 class SimResult:
+    """A finished run.
+
+    Switch-out events with the same (semaphore, role) share one read-only
+    stack tuple.  `acquisition_rows` holds each lock acquisition as an int
+    tuple (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns) in
+    (grant, tid, grant_seq) order; `acquisitions` builds the matching
+    `LockAcquisition` list on first read.
+    """
+
     config: SimConfig
     events: list
     truth: GroundTruth
-    acquisitions: list
+    acquisition_rows: list
     crit_intervals: dict  # queue -> [(start_ns, end_ns, tid)]
+
+    @cached_property
+    def acquisitions(self) -> list:
+        return [
+            LockAcquisition(tid=tid, lock_id=lock, request_ts=Timestamp(request),
+                            grant_ts=Timestamp(grant), release_ts=Timestamp(release))
+            for grant, tid, _, lock, request, release in self.acquisition_rows
+        ]
 
 
 class _Semaphore:
@@ -178,7 +196,6 @@ class _Simulator:
         self.cfg = cfg
         self.events = []
         self.truth = GroundTruth()
-        self.acquisitions = []
         self.crit_intervals = {q: [] for q in range(cfg.queues)}
         self.occupancy_deltas = {q: [] for q in range(cfg.queues)}
         self.clock = 0
@@ -186,7 +203,8 @@ class _Simulator:
         self.seq = 0
         self.grant_seq = 0
         self._symbols = {}
-        self._tagged_acquisitions = []  # (grant_ns, tid, grant_seq, LockAcquisition)
+        self._stacks = {}  # (sem_id, role) -> stack tuple shared by switch-outs
+        self._rows = []  # (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns)
 
         self.sems = {}
         for q in range(cfg.queues):
@@ -220,11 +238,14 @@ class _Simulator:
         return self._symbols[symbol]
 
     def _wait_stack(self, sem_id: str, role: str) -> tuple:
-        frames = ("sem_wait", f"wait_{sem_id}", f"{role}_loop", "main")
-        return tuple(
-            Frame(address=self._addr(sym), symbol=sym, dso="simgen")
-            for sym in frames
-        )
+        stack = self._stacks.get((sem_id, role))
+        if stack is None:
+            frames = ("sem_wait", f"wait_{sem_id}", f"{role}_loop", "main")
+            stack = self._stacks[(sem_id, role)] = tuple(
+                Frame(address=self._addr(sym), symbol=sym, dso="simgen")
+                for sym in frames
+            )
+        return stack
 
     # -- duration draws
 
@@ -288,11 +309,15 @@ class _Simulator:
     def _release_lock(self, thread: _Thread, semkey, now: int):
         lock = self._lock_for(semkey)
         request, grant, seq = thread.open_locks.pop(lock)
-        self._tagged_acquisitions.append((grant, thread.tid, seq, LockAcquisition(
-            tid=thread.tid, lock_id=lock,
-            request_ts=Timestamp(request), grant_ts=Timestamp(grant),
-            release_ts=Timestamp(now),
-        )))
+        self._record_acquisition(thread.tid, lock, request, grant, seq, now)
+
+    def _record_acquisition(self, tid, lock, request, grant, seq, release):
+        # the invariant LockAcquisition enforces, checked on plain ints
+        if not 0 <= request <= grant <= release:
+            raise AssertionError(
+                f"lock {lock} tid {tid}: request {request}, grant {grant},"
+                f" release {release} out of order")
+        self._rows.append((grant, tid, seq, lock, request, release))
 
     # -- thread programs
 
@@ -421,12 +446,8 @@ class _Simulator:
                 if grant is not None:
                     # granted but never released (wedged in a deadlock):
                     # close at the stop time so the record stays representable
-                    self._tagged_acquisitions.append((grant, thread.tid, seq,
-                        LockAcquisition(
-                            tid=thread.tid, lock_id=lock,
-                            request_ts=Timestamp(request), grant_ts=Timestamp(grant),
-                            release_ts=Timestamp(max(self.clock, grant)),
-                        )))
+                    self._record_acquisition(thread.tid, lock, request, grant, seq,
+                                             max(self.clock, grant))
 
         for q, deltas in self.occupancy_deltas.items():
             occupancy = 0
@@ -439,14 +460,14 @@ class _Simulator:
                         f"occupancy {occupancy} out of [0, {self.cfg.capacity}]")
             self.truth.max_occupancy[q] = peak
 
-        # grant-sequence ordering keeps same-instant grants in program order
-        self._tagged_acquisitions.sort(key=lambda t: (t[0], t[1], t[2]))
-        self.acquisitions = [acq for _, _, _, acq in self._tagged_acquisitions]
+        # (grant, tid, grant_seq) order: grant_seq is unique, so it keeps
+        # same-instant grants in program order and the rest never decides
+        self._rows.sort()
         return SimResult(
             config=self.cfg,
             events=[ev for ev in self.events if ev is not None],
             truth=self.truth,
-            acquisitions=self.acquisitions,
+            acquisition_rows=self._rows,
             crit_intervals=self.crit_intervals,
         )
 

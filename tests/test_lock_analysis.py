@@ -80,6 +80,28 @@ def test_stats_identity_avg_total_locked():
             assert row.changed <= max(row.locked - 1, 0)
 
 
+def test_stats_match_per_grant_fraction_sums():
+    rng = random.Random(23)
+    for _ in range(50):
+        acqs = []
+        for _ in range(rng.randint(1, 40)):
+            request = rng.randint(0, 10**9)
+            grant = request + rng.choice([0, rng.randint(1, 10**3), rng.randint(1, 10**8)])
+            acqs.append(LockAcquisition(rng.randint(1, 3), rng.randint(0, 2),
+                                        Timestamp(request), Timestamp(grant),
+                                        Timestamp(grant + rng.randint(0, 10**6))))
+        for row in contention_stats(acqs):
+            grants = [a for a in acqs if a.lock_id == row.mutex_id]
+            waits = [Fraction(a.grant_ts - a.request_ts, 10**6) for a in grants]
+            total = sum(waits, Fraction(0))
+            assert row.locked == len(grants)
+            assert row.contended == sum(1 for a in grants if a.grant_ts > a.request_ts)
+            assert (row.total_ms, row.avg_ms, row.max_ms) == (
+                total, total / len(grants), max(waits))
+            assert all(isinstance(v, Fraction)
+                       for v in (row.total_ms, row.avg_ms, row.max_ms))
+
+
 def test_stats_roundtrip_from_synthetic_row():
     # acquisitions constructed to match a target row reproduce it exactly
     target = MutexStats(0, locked=8, changed=4, contended=4,

@@ -1,9 +1,11 @@
+import unittest.mock
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latprof import parsers
 from latprof.parsers import (
     MalformedLine,
     MalformedRow,
@@ -407,3 +409,41 @@ def test_sniff_formats():
     assert sniff_format("0.000045 read(3) = 0 <0.000011>\n") == "strace"
     assert sniff_format("tid,lock_id,request_ts,grant_ts,release_ts\n") == "acquisitions"
     assert sniff_format("") is None
+
+
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85  "
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ab " + _LINE_BREAKS, max_size=300), st.integers(0, 120))
+def test_sniff_reads_the_same_first_lines_as_a_whole_split(text, prefix_chars):
+    # a small prefix puts every kind of line break, and a cut "\r\n" pair,
+    # at the prefix boundary
+    with unittest.mock.patch.object(parsers, "_SNIFF_PREFIX_CHARS", prefix_chars):
+        assert parsers._first_lines(text) == text.splitlines()[:50]
+
+
+def test_sniff_first_lines_across_the_prefix_boundary():
+    cut = parsers._SNIFF_PREFIX_CHARS
+    for lines_before in (10, 49, 50, 60):
+        for sep in ("\r\n", "\r", "\n", " "):
+            head = sep.join([listings.PERF_SCRIPT_SWITCH] * lines_before) + sep
+            for pad in range(-2, 3):
+                # the break after the next line starts at cut - 1 + pad, so
+                # a "\r\n" with pad 0 is split by the cut
+                text = head + "y" * (cut - 1 + pad - len(head)) + sep + sep.join(["z"] * 60)
+                assert parsers._first_lines(text) == text.splitlines()[:50]
+                assert sniff_format(text) == "perf"
+
+
+@pytest.mark.parametrize("ids", ["1" * 5000, "1/" + "1" * 5000, "1" * 5000 + "/1"],
+                         ids=["pid", "tid", "pid-and-tid"])
+def test_perf_script_pid_past_the_digit_limit_is_a_malformed_line(ids):
+    text = f"app {ids} [000] 1.0: cpu-clock:\nok 7/7 [000] 2.0: cpu-clock:\n"
+    res = parse_perf_script(text)
+    assert [ev.tid for ev in res.events] == [7]
+    (err,) = res.errors
+    assert err.lineno == 1 and "digits" in err.reason
+    with pytest.raises(MalformedLine) as info:
+        parse_perf_script(text, strict=True)
+    assert info.value.lineno == 1

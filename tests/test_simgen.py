@@ -1,13 +1,21 @@
+import hashlib
 import random
 
 import pytest
 
-from latprof.lock_analysis import build_lock_order_graph, detect_deadlock_risk
+from latprof.export import render_perf_script
+from latprof.lock_analysis import (
+    LockAcquisition,
+    build_lock_order_graph,
+    detect_deadlock_risk,
+    write_acquisitions_csv,
+)
 from latprof.simgen import (
     ConfigError,
     GroundTruth,
     SimConfig,
     SplitMix64,
+    _Simulator,
     mutex_lock_id,
     replay_check,
     seconds_to_ns,
@@ -206,3 +214,84 @@ def test_default_order_graph_is_acyclic():
                              items_per_producer=5))
     graph = build_lock_order_graph(res.acquisitions)
     assert detect_deadlock_risk(graph) == []
+
+
+# sha256 of (perf-script text, truth JSON, acquisitions CSV), recorded
+# before the simulator shared its wait stacks and kept acquisitions as rows
+GOLDEN_RUNS = {
+    "jittered-multi-queue": (
+        dict(producers=3, consumers=3, queues=2, capacity=2, items_per_producer=25,
+             produce_ns=2 * MS, consume_ns=3 * MS, critical_ns=MS // 2,
+             seed=11, jitter=0.3),
+        ("61f0d57760503d09de8fd915ee1538bdcc512a583b7870131701e3a1af2f62bc",
+         "a52673b0e0822bcf8a7a23f8b55907ffd2143de9fee25f6e699a2de5f8ac18aa",
+         "403c92ef3824a307da87fc4b6e219e44944e74028263b6805ce654476e1663c3")),
+    "hand-traced": (
+        {},
+        ("713b300234ef600222ec11c8718a5f5f23250ce6438284977494e504b743df1b",
+         "133c991d851c73e434c24887e1b8b29ec4e2e1cf160c443db99a7da4a0e48910",
+         "b8c57dc2561b9ca12f732e0f279cdb5ea5abdec135ce0066a54427623c9db369")),
+    # wedges with locks still held, so their acquisitions close at the stop time
+    "inverted-deadlock": (
+        dict(producers=2, consumers=2, capacity=1, items_per_producer=20,
+             produce_ns=MS, consume_ns=MS // 10, critical_ns=MS // 10,
+             jitter=0.2, seed=0, inverted_wait_order=True),
+        ("4251577c146a9242fd8f315b177fa0dc6499ecad7350a50a790da113e7bfae60",
+         "110212456e9fdd8b5b9e01d632ed9067383d57fb2aaca5af32462f9055723948",
+         "b3147d047f270118db2c1ce85573319244d2e4cb932cebb995bba6e370a5a6e2")),
+}
+
+
+def _digests(res):
+    texts = (render_perf_script(res.events), res.truth.to_json(),
+             write_acquisitions_csv(res.acquisitions))
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_outputs(name):
+    overrides, digests = GOLDEN_RUNS[name]
+    res = simulate(small_cfg(**overrides))
+    assert _digests(res) == digests
+    if name == "inverted-deadlock":
+        assert res.truth.deadlocked
+        # producer 2 holds the mutex and consumer 3 a full slot at the stop
+        stop = max(a.release_ts.ns for a in res.acquisitions)
+        wedged = {(a.tid, a.lock_id) for a in res.acquisitions if a.release_ts.ns == stop}
+        assert wedged == {(2, mutex_lock_id(0)), (3, slots_lock_id(0))}
+
+
+def test_switch_outs_share_one_stack_per_semaphore_and_role():
+    res = simulate(small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0]))
+    by_site = {}
+    for ev in res.events:
+        if ev.stack:
+            site = (ev.stack[1].symbol, ev.stack[2].symbol)
+            assert by_site.setdefault(site, ev.stack) is ev.stack
+    assert len(by_site) > 2
+
+
+def test_check_builds_no_lock_acquisitions(monkeypatch):
+    built = []
+    real = LockAcquisition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(LockAcquisition, "__post_init__", counting)
+    overrides, digests = GOLDEN_RUNS["inverted-deadlock"]
+    res = simulate(small_cfg(**overrides))
+    replay_check(res.events, res.truth)
+    assert built == []
+    assert _digests(res) == digests
+    assert len(built) == len(res.acquisitions) == len(res.acquisition_rows)
+    assert res.acquisitions is res.acquisitions
+
+
+@pytest.mark.parametrize("request_ns, grant_ns, release_ns",
+                         [(5, 3, 6), (3, 6, 5), (-1, 0, 0)])
+def test_out_of_order_acquisition_row_raises(request_ns, grant_ns, release_ns):
+    sim = _Simulator(small_cfg())
+    with pytest.raises(AssertionError):
+        sim._record_acquisition(1, mutex_lock_id(0), request_ns, grant_ns, 1, release_ns)
