@@ -14,7 +14,6 @@ yields byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -101,12 +100,19 @@ def _wait_summary(args, events):
 # --- subcommands ---
 
 
-def _fraction_float(value):
-    return float(value) if value is not None else None
+# `parse` NDJSON of the record formats: the parser, and the keys that differ
+# from the record's field names
+_RECORD_FORMATS = {
+    "gprof": (parsers.parse_gprof_flat, None),
+    "oprofile": (parsers.parse_oprofile_flat, None),
+    "mutrace": (parsers.parse_mutrace, None),
+    "strace": (parsers.parse_strace,
+               {"args_text": "args", "wall_duration_s": "duration_s"}),
+}
 
 
 def cmd_parse(args) -> int:
-    lines = []
+    chunks = []
     for name, text in _read_inputs(args.input):
         fmt = _detect(name, text, args.format)
         if fmt == "perf":
@@ -114,53 +120,13 @@ def cmd_parse(args) -> int:
             if result.errors:
                 print(f"{name}: {len(result.errors)} malformed lines skipped",
                       file=sys.stderr)
-            for ev in result.events:
-                lines.append(json.dumps({
-                    "comm": ev.comm, "pid": ev.pid, "tid": ev.tid, "cpu": ev.cpu,
-                    "ts_ns": ev.ts.ns, "event": ev.event, "args": ev.args,
-                    "period": ev.period,
-                    "stack": [
-                        {"address": f.address, "symbol": f.symbol,
-                         "offset": f.offset, "dso": f.dso}
-                        for f in ev.stack
-                    ],
-                }, separators=(",", ":")))
-        elif fmt == "gprof":
-            for r in parsers.parse_gprof_flat(text):
-                lines.append(json.dumps({
-                    "percent_time": _fraction_float(r.percent_time),
-                    "cumulative_s": _fraction_float(r.cumulative_s),
-                    "self_s": _fraction_float(r.self_s),
-                    "calls": r.calls,
-                    "self_ms_per_call": _fraction_float(r.self_ms_per_call),
-                    "total_ms_per_call": _fraction_float(r.total_ms_per_call),
-                    "name": r.name,
-                }, separators=(",", ":")))
-        elif fmt == "oprofile":
-            for r in parsers.parse_oprofile_flat(text):
-                lines.append(json.dumps({
-                    "symbol": r.symbol, "percent": _fraction_float(r.percent),
-                    "image": r.image,
-                }, separators=(",", ":")))
-        elif fmt == "mutrace":
-            for r in parsers.parse_mutrace(text):
-                lines.append(json.dumps({
-                    "mutex_id": r.mutex_id, "locked": r.locked,
-                    "changed": r.changed, "contended": r.contended,
-                    "total_ms": _fraction_float(r.total_ms),
-                    "avg_ms": _fraction_float(r.avg_ms),
-                    "max_ms": _fraction_float(r.max_ms), "flags": r.flags,
-                }, separators=(",", ":")))
-        elif fmt == "strace":
-            for r in parsers.parse_strace(text):
-                lines.append(json.dumps({
-                    "rel_ts": _fraction_float(r.rel_ts), "name": r.name,
-                    "args": r.args_text, "retval": r.retval,
-                    "duration_s": _fraction_float(r.wall_duration_s),
-                }, separators=(",", ":")))
+            chunks.append(export.to_perf_ndjson(result.events))
+        elif fmt in _RECORD_FORMATS:
+            parse, renames = _RECORD_FORMATS[fmt]
+            chunks.append(export.to_records_ndjson(parse(text), renames))
         else:
             raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
-    _write_output("".join(line + "\n" for line in lines), args.out)
+    _write_output("".join(chunks), args.out)
     return 0
 
 

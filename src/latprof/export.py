@@ -15,10 +15,12 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .trace_model import NS_PER_SEC, Timestamp
+from .trace_model import NS_PER_SEC
+
+NS_PER_MS = 10**6
 
 CSV_HEADER = ["timestamp", "comm", "pid", "tid", "cpu", "event", "dso", "symbol"]
 
@@ -48,39 +50,42 @@ class EventRecord:
     symbol: str
 
 
-def trace_origin(events) -> Timestamp | None:
-    stamps = [ev.ts for ev in events]
-    return min(stamps) if stamps else None
+class _JsonText(dict):
+    """Per-call cache: each distinct string (or None) -> its JSON text."""
+
+    def __missing__(self, key):
+        text = self[key] = json.dumps(key)
+        return text
 
 
-def _relative_ns(ev, origin) -> int:
-    return ev.ts.ns - origin.ns
+def _origin_ns(events) -> int | None:
+    """The trace origin: the earliest event timestamp, in ns."""
+    return min((ev.ts.ns for ev in events), default=None)
 
 
-def event_record(ev, origin) -> EventRecord:
-    leaf = ev.leaf()
-    return EventRecord(
-        timestamp_rel=Timestamp(_relative_ns(ev, origin)).format_ms(),
-        comm=ev.comm,
-        pid=ev.pid,
-        tid=ev.tid,
-        cpu=ev.cpu,
-        event=ev.event,
-        dso=(leaf.dso or "") if leaf else "",
-        symbol=(leaf.symbol or "") if leaf else "",
-    )
+def _rows(events):
+    """Per event: the event, its ns since the trace origin, that offset as
+    ss.SSS text (truncated, as `Timestamp.format_ms` does) and its leaf
+    frame's dso and symbol ("" when absent)."""
+    origin = _origin_ns(events)
+    for ev in events:
+        rel = ev.ts.ns - origin
+        if ev.stack:
+            leaf = ev.stack[0]
+            dso, symbol = leaf.dso or "", leaf.symbol or ""
+        else:
+            dso = symbol = ""
+        text = f"{rel // NS_PER_SEC}.{rel % NS_PER_SEC // NS_PER_MS:03d}"
+        yield ev, rel, text, dso, symbol
 
 
 def to_csv(events) -> str:
     """RFC-4180 CSV, LF line endings, header + one row per event."""
-    origin = trace_origin(events)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(CSV_HEADER)
-    for ev in events:
-        r = event_record(ev, origin)
-        writer.writerow([r.timestamp_rel, r.comm, r.pid, r.tid, r.cpu,
-                         r.event, r.dso, r.symbol])
+    writer.writerows([text, ev.comm, ev.pid, ev.tid, ev.cpu, ev.event, dso, symbol]
+                     for ev, _, text, dso, symbol in _rows(events))
     return out.getvalue()
 
 
@@ -106,25 +111,50 @@ def to_bulk_ndjson(events, index_name: str = DEFAULT_INDEX) -> str:
     """
     if not _INDEX_NAME_RE.match(index_name):
         raise BadIndexName(f"index name must match [a-z0-9_-]+, got {index_name!r}")
-    origin = trace_origin(events)
-    lines = []
     action = json.dumps({"index": {"_index": index_name}}, separators=(",", ":"))
+    q = _JsonText()
+    return "".join(
+        f'{action}\n{{"timestamp_rel":"{text}","comm":{q[ev.comm]},"pid":{ev.pid},'
+        f'"tid":{ev.tid},"cpu":{ev.cpu},"event":{q[ev.event]},"dso":{q[dso]},'
+        f'"symbol":{q[symbol]},"ts_ns":{rel}}}\n'
+        for ev, rel, text, dso, symbol in _rows(events))
+
+
+def to_perf_ndjson(events) -> str:
+    """`latprof parse` NDJSON of perf events: one object per event with every
+    field, ns timestamps and the stack as a list of frame objects."""
+    q = _JsonText()
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = []
     for ev in events:
-        r = event_record(ev, origin)
-        doc = {
-            "timestamp_rel": r.timestamp_rel,
-            "comm": r.comm,
-            "pid": r.pid,
-            "tid": r.tid,
-            "cpu": r.cpu,
-            "event": r.event,
-            "dso": r.dso,
-            "symbol": r.symbol,
-            "ts_ns": _relative_ns(ev, origin),
-        }
-        lines.append(action)
-        lines.append(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
-    return "\n".join(lines) + "\n" if lines else ""
+        stack = ",".join(
+            f'{{"address":{"null" if f.address is None else f.address},'
+            f'"symbol":{q[f.symbol]},'
+            f'"offset":{"null" if f.offset is None else f.offset},"dso":{q[f.dso]}}}'
+            for f in ev.stack)
+        lines.append(
+            f'{{"comm":{q[ev.comm]},"pid":{ev.pid},"tid":{ev.tid},"cpu":{ev.cpu},'
+            f'"ts_ns":{ev.ts.ns},"event":{q[ev.event]},"args":{encode(ev.args)},'
+            f'"period":{ev.period},"stack":[{stack}]}}\n')
+    return "".join(lines)
+
+
+def to_records_ndjson(records, renames=None) -> str:
+    """`latprof parse` NDJSON of flat records (gprof, oprofile, mutrace and
+    strace rows): one object per record with its fields in declaration
+    order, keyed by field name or by its entry in `renames`; exact
+    fractions are written as floats."""
+    renames = renames or {}
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = []
+    for r in records:
+        doc = {}
+        for f in fields(r):
+            value = getattr(r, f.name)
+            doc[renames.get(f.name, f.name)] = \
+                float(value) if isinstance(value, Fraction) else value
+        lines.append(encode(doc) + "\n")
+    return "".join(lines)
 
 
 def parse_bulk_ndjson(text: str) -> list:
@@ -161,10 +191,10 @@ def events_per_second(events, bin_width=1) -> HistogramView:
     if width_ns.denominator != 1:
         raise ValueError(f"bin width {bin_width!r} not representable in ns")
     width_ns = int(width_ns)
-    origin = trace_origin(events)
+    origin = _origin_ns(events)
     by_bin: dict = {}
     for ev in events:
-        index = _relative_ns(ev, origin) // width_ns
+        index = (ev.ts.ns - origin) // width_ns
         counts = by_bin.setdefault(index, {})
         counts[ev.comm] = counts.get(ev.comm, 0) + 1
     return HistogramView(

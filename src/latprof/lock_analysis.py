@@ -37,7 +37,7 @@ class LockAcquisition:
     release_ts: Timestamp
 
     def __post_init__(self) -> None:
-        if not self.request_ts <= self.grant_ts <= self.release_ts:
+        if not self.request_ts.ns <= self.grant_ts.ns <= self.release_ts.ns:
             raise ValueError("acquisition times must satisfy request <= grant <= release")
 
 
@@ -135,15 +135,28 @@ def detect_deadlock_risk(graph: LockOrderGraph, max_len: int = 8) -> list:
 # acquisitions CSV interchange
 
 
+def _numbered_rows(text: str):
+    """(line the row starts on, row) for each non-blank CSV row."""
+    reader = csv.reader(io.StringIO(text))
+    lineno = 1
+    try:
+        for row in reader:
+            if row:
+                yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise MalformedRow(lineno, "", str(exc)) from exc
+
+
 def read_acquisitions_csv(text: str) -> list:
     """Parse ``tid,lock_id,request_ts,grant_ts,release_ts`` (seconds)."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or rows[0] != ACQUISITIONS_HEADER:
-        raise MalformedRow(1, ",".join(rows[0]) if rows else "",
+    rows = _numbered_rows(text)
+    lineno, header = next(rows, (1, []))
+    if header != ACQUISITIONS_HEADER:
+        raise MalformedRow(lineno, ",".join(header),
                            f"expected header {','.join(ACQUISITIONS_HEADER)}")
     acquisitions = []
-    for lineno, row in enumerate(rows[1:], 2):
+    for lineno, row in rows:
         if len(row) != 5:
             raise MalformedRow(lineno, ",".join(row), "expected 5 columns")
         try:

@@ -69,6 +69,10 @@ class AnalysisConfig:
 
 
 class ThreadState(enum.Enum):
+    # hot dict keys: hash by identity (equality already is), in C rather
+    # than through Enum.__hash__
+    __hash__ = object.__hash__
+
     RUNNING = "running"
     RUNNABLE = "runnable"
     SLEEPING = "sleeping"

@@ -54,10 +54,7 @@ class Timestamp:
         rounded.
         """
         text = text.strip()
-        if "." in text:
-            whole, frac = text.split(".", 1)
-        else:
-            whole, frac = text, ""
+        whole, _, frac = text.partition(".")
         if not (whole.isdecimal() and (frac == "" or frac.isdecimal())):
             raise ValueError(f"bad timestamp {text!r}")
         frac = (frac + "000000000")[:9]
@@ -147,11 +144,19 @@ class TraceEvent:
 
 
 class WaitKind(enum.Enum):
+    # hot dict keys: hash by identity (equality already is), in C rather
+    # than through Enum.__hash__
+    __hash__ = object.__hash__
+
     BLOCKED = "blocked"
     RUNNABLE = "runnable"
 
 
 class WaitReason(enum.Enum):
+    # hot dict keys: hash by identity (equality already is), in C rather
+    # than through Enum.__hash__
+    __hash__ = object.__hash__
+
     SCHEDULER_DELAY = "SchedulerDelay"
     BLOCK_IO = "BlockIO"
     LOCK = "Lock"

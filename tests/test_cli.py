@@ -138,6 +138,21 @@ def test_locks_acquisitions_with_cycle(tmp_path, capsys):
     assert "1 -> 2 -> 1" in out
 
 
+def test_locks_acquisitions_error_names_physical_line(tmp_path, capsys):
+    # blank lines count: the bad row is on line 5 of the file
+    path = tmp_path / "acq.csv"
+    path.write_text(
+        "tid,lock_id,request_ts,grant_ts,release_ts\n"
+        "\n"
+        "\n"
+        "1,1,1.0,1.0,3.0\n"
+        "1,2,2.0,1.0,2.5\n"
+    )
+    code, _, err = run(capsys, "locks", "--input", str(path))
+    assert code == 1
+    assert "line 5: acquisition times must satisfy" in err
+
+
 def test_graph_commands(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("a b 3\nb c 4\na c 5\n")

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latprof.cli import _RECORD_FORMATS
 from latprof.export import (
     BadIndexName,
     EmptyInput,
@@ -15,10 +18,18 @@ from latprof.export import (
     render_text_report,
     to_bulk_ndjson,
     to_csv,
+    to_perf_ndjson,
+    to_records_ndjson,
     to_report_json,
     utilization_pie,
 )
-from latprof.parsers import parse_perf_script
+from latprof.parsers import (
+    GprofRow,
+    ImageProfileRow,
+    MutexStats,
+    SyscallRecord,
+    parse_perf_script,
+)
 from latprof.profile_agg import flat_profile
 from latprof.sched_analysis import summarize_waits
 from latprof.trace_model import (
@@ -29,6 +40,8 @@ from latprof.trace_model import (
     WaitKind,
     WaitReason,
 )
+
+import export_reference
 
 
 def ev(comm="gzip", tid=1, cpu=0, ts="10.000000000", event="cpu-clock",
@@ -115,6 +128,76 @@ def test_bulk_roundtrip_preserves_all_fields():
     }
     assert docs[1]["ts_ns"] == 500_000_001  # full precision survives
     assert docs[1]["event"] == "sched:sched_switch"
+
+
+# --- writers against their frozen per-event reference ---
+
+# quotes, commas, line breaks, backslashes, NUL, non-ASCII, astral and lone
+# surrogate characters: everything CSV quoting and JSON escaping act on
+_TEXT = st.text(
+    alphabet=st.sampled_from('ab :,;"\'\n\r\t\\\x00\x7fé€\u2028😀\ud800'), max_size=6)
+_OPTIONAL_INT = st.none() | st.integers(0, 2**64)
+_FRAME = st.builds(
+    lambda address, symbol, offset, dso: Frame(
+        0 if address is None and symbol is None else address, symbol, offset, dso),
+    _OPTIONAL_INT, st.none() | _TEXT, _OPTIONAL_INT, st.none() | _TEXT)
+_ARGS = st.dictionaries(_TEXT, _TEXT, max_size=3) | _TEXT.map(lambda raw: {"raw": raw})
+# equal, sub-millisecond, second-boundary and very large timestamps, in any order
+_NS = st.sampled_from([0, 1, 999_999, 1_000_000, 10**9 - 1, 10**9, 7 * 10**9 + 5]) \
+    | st.integers(0, 2**80)
+_ID = st.sampled_from([0, 1]) | st.integers(0, 2**31)
+_EVENT = st.builds(
+    lambda comm, pid, tid, cpu, ns, event, args, period, stack: TraceEvent(
+        comm, pid, tid, cpu, Timestamp(ns), event, args=args, period=period,
+        stack=tuple(stack)),
+    _TEXT, _ID, _ID, _ID, _NS,
+    _TEXT | st.sampled_from(["cpu-clock", "sched:sched_switch"]), _ARGS,
+    st.integers(1, 2**40), st.lists(_FRAME, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EVENT, max_size=8), st.from_regex(r"[a-z0-9_-]+", fullmatch=True))
+def test_event_writers_match_reference(events, index_name):
+    # the field-formatting writers give the bytes of the per-event
+    # EventRecord/dict/json.dumps writers they replaced (empty input included)
+    assert to_csv(events) == export_reference.to_csv(events)
+    assert to_bulk_ndjson(events, index_name) == \
+        export_reference.to_bulk_ndjson(events, index_name)
+    assert to_perf_ndjson(events) == export_reference.perf_ndjson(events)
+
+
+_FRACTION = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+_PERCENT = st.fractions(min_value=0, max_value=100, max_denominator=10**4)
+
+
+def _mutex_stats(mutex_id, locked, changed, contended, total_ms, extra_ms, flags):
+    # keep the row's own invariants: counts within locked, avg = total/locked,
+    # max >= avg
+    avg_ms = total_ms / locked
+    return MutexStats(mutex_id, locked, min(changed, locked), min(contended, locked),
+                      total_ms, avg_ms, avg_ms + extra_ms, flags)
+
+
+_RECORDS = {
+    "gprof": st.builds(GprofRow, _PERCENT, _FRACTION, _FRACTION,
+                       st.none() | st.integers(0, 10**9), st.none() | _FRACTION,
+                       st.none() | _FRACTION, _TEXT),
+    "oprofile": st.builds(ImageProfileRow, _TEXT, _PERCENT, _TEXT),
+    "mutrace": st.builds(_mutex_stats, st.integers(0, 99), st.integers(1, 99),
+                         st.integers(0, 99), st.integers(0, 99), _FRACTION, _FRACTION,
+                         _TEXT),
+    "strace": st.builds(SyscallRecord, _FRACTION, _TEXT, _TEXT, _TEXT,
+                        st.none() | _FRACTION),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_RECORDS)).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), st.lists(_RECORDS[fmt], max_size=4))))
+def test_record_ndjson_matches_reference(fmt_records):
+    fmt, records = fmt_records
+    assert to_records_ndjson(records, _RECORD_FORMATS[fmt][1]) == \
+        export_reference.record_ndjson(fmt, records)
 
 
 # --- histogram ---

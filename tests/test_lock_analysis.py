@@ -262,3 +262,25 @@ def test_acquisitions_csv_bad_row():
     text = "tid,lock_id,request_ts,grant_ts,release_ts\n1,2,xyz,1.0,2.0\n"
     with pytest.raises(MalformedRow):
         read_acquisitions_csv(text)
+
+
+def test_acquisitions_csv_errors_name_the_row_start_line():
+    header = "tid,lock_id,request_ts,grant_ts,release_ts\n"
+    # a quoted field spans lines 2-3, so the next row starts on line 4
+    text = header + '"1\n",1,1.0,1.0,3.0\n1,2,2.0,1.0,2.5\n'
+    with pytest.raises(MalformedRow) as exc:
+        read_acquisitions_csv(text)
+    assert exc.value.lineno == 4
+    # a bad row that spans lines 3-4 is reported at line 3
+    text = header + "\n" + '1,2,"xyz\n",1.0,2.0\n'
+    with pytest.raises(MalformedRow) as exc:
+        read_acquisitions_csv(text)
+    assert exc.value.lineno == 3
+    # a field the csv module refuses is a malformed row, not a traceback
+    with pytest.raises(MalformedRow) as exc:
+        read_acquisitions_csv(header + "\n1,1," + "9" * 200_000 + ",1,1\n")
+    assert exc.value.lineno == 3
+    # a header after blank lines is checked where it stands
+    with pytest.raises(MalformedRow) as exc:
+        read_acquisitions_csv("\n\na,b,c\n")
+    assert exc.value.lineno == 3
