@@ -33,6 +33,26 @@ _ANALYSIS_ERRORS = (
 )
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; a file that is not UTF-8 is a ParseError
+    naming the line of its first bad byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines breaks lines as text-mode reading does
+            line = len((data[:exc.start] + b"x").splitlines())
+            raise parsers.ParseError(
+                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+                f" ({exc.reason})") from None
+        raise
+
+
 def _read_inputs(paths) -> list:
     """Read each input path ('-' is stdin) as (name, text)."""
     texts = []
@@ -40,8 +60,7 @@ def _read_inputs(paths) -> list:
         if path == "-":
             texts.append(("<stdin>", sys.stdin.read()))
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                texts.append((path, handle.read()))
+            texts.append((path, _read_text(path)))
     return texts
 
 
@@ -138,7 +157,7 @@ def cmd_report(args) -> int:
     except profile_agg.NoSamples:
         profile = []
     _write_output(export.render_text_report(profile, _wait_summary(args, events),
-                                            None, top_n=args.top), args.out)
+                                            top_n=args.top), args.out)
     return 0
 
 
@@ -273,7 +292,7 @@ def cmd_export(args) -> int:
             profile = []
         histogram = export.events_per_second(events, args.bin_width) if events else None
         pie = export.utilization_pie(events) if events else None
-        _write_output(export.to_report_json(profile, _wait_summary(args, events), None,
+        _write_output(export.to_report_json(profile, _wait_summary(args, events),
                                             histogram, pie), args.out)
     return 0
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .trace_model import NS_PER_SEC
+from .trace_model import NS_PER_SEC, format_ns
 
 NS_PER_MS = 10**6
 
@@ -60,16 +60,16 @@ class _JsonText(dict):
 
 def _origin_ns(events) -> int | None:
     """The trace origin: the earliest event timestamp, in ns."""
-    return min((ev.ts.ns for ev in events), default=None)
+    return min((ev.ts for ev in events), default=None)
 
 
 def _rows(events):
     """Per event: the event, its ns since the trace origin, that offset as
-    ss.SSS text (truncated, as `Timestamp.format_ms` does) and its leaf
+    ss.SSS text (truncated below a millisecond, never rounded) and its leaf
     frame's dso and symbol ("" when absent)."""
     origin = _origin_ns(events)
     for ev in events:
-        rel = ev.ts.ns - origin
+        rel = ev.ts - origin
         if ev.stack:
             leaf = ev.stack[0]
             dso, symbol = leaf.dso or "", leaf.symbol or ""
@@ -134,7 +134,7 @@ def to_perf_ndjson(events) -> str:
             for f in ev.stack)
         lines.append(
             f'{{"comm":{q[ev.comm]},"pid":{ev.pid},"tid":{ev.tid},"cpu":{ev.cpu},'
-            f'"ts_ns":{ev.ts.ns},"event":{q[ev.event]},"args":{encode(ev.args)},'
+            f'"ts_ns":{ev.ts},"event":{q[ev.event]},"args":{encode(ev.args)},'
             f'"period":{ev.period},"stack":[{stack}]}}\n')
     return "".join(lines)
 
@@ -194,7 +194,7 @@ def events_per_second(events, bin_width=1) -> HistogramView:
     origin = _origin_ns(events)
     by_bin: dict = {}
     for ev in events:
-        index = (ev.ts.ns - origin) // width_ns
+        index = (ev.ts - origin) // width_ns
         counts = by_bin.setdefault(index, {})
         counts[ev.comm] = counts.get(ev.comm, 0) + 1
     return HistogramView(
@@ -259,8 +259,9 @@ def render_lock_table(mutex_stats) -> list:
     return lines
 
 
-def render_text_report(profile, wait_summary, mutex_stats, top_n: int = 20) -> str:
-    """Fixed-width report: flat profile, wait totals, mutrace-style lock table."""
+def render_text_report(profile, wait_summary, top_n: int = 20) -> str:
+    """Fixed-width report: flat profile, wait totals and an empty
+    mutrace-style lock section (perf-script text carries no lock data)."""
     lines = []
 
     lines.append(_section("Flat profile"))
@@ -284,7 +285,7 @@ def render_text_report(profile, wait_summary, mutex_stats, top_n: int = 20) -> s
         lines.append("(no data)")
 
     lines.append("")
-    lines.extend(render_lock_table(mutex_stats))
+    lines.extend(render_lock_table(None))
     lines.append("")
     return "\n".join(lines)
 
@@ -328,7 +329,7 @@ def render_offcpu_report(wait_summary, comms, top_n: int = 20) -> str:
 # combined JSON report document
 
 
-def to_report_json(profile=None, wait_summary=None, mutex_stats=None,
+def to_report_json(profile=None, wait_summary=None,
                    histogram: HistogramView = None, pie: PieView = None) -> str:
     """One JSON document bundling every dashboard view."""
     doc: dict = {}
@@ -351,14 +352,6 @@ def to_report_json(profile=None, wait_summary=None, mutex_stats=None,
         doc["wait_histogram_log2_us"] = {
             str(k): v for k, v in sorted(wait_summary.histogram.items())
         }
-    if mutex_stats is not None:
-        doc["locks"] = [
-            {"mutex_id": m.mutex_id, "locked": m.locked, "changed": m.changed,
-             "contended": m.contended, "total_ms": float(m.total_ms),
-             "avg_ms": float(m.avg_ms), "max_ms": float(m.max_ms),
-             "flags": m.flags}
-            for m in mutex_stats
-        ]
     if histogram is not None:
         doc["events_per_bin"] = {
             "bin_width_s": float(histogram.bin_width),
@@ -403,7 +396,7 @@ def render_perf_script(events) -> str:
             payload = " ".join(f"{k}={v}" for k, v in ev.args.items())
         period = f"{ev.period} " if ev.period != 1 else ""
         header = (f"{ev.comm} {ev.pid}/{ev.tid} [{ev.cpu:03d}] "
-                  f"{ev.ts.format(9)}: {period}{ev.event}: {payload}".rstrip())
+                  f"{format_ns(ev.ts)}: {period}{ev.event}: {payload}".rstrip())
         frames = stack_text.get(ev.stack)
         if frames is None:
             frames = stack_text[ev.stack] = "".join(

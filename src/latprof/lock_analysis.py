@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .graph_core import Graph, detect_cycles
 from .parsers import MalformedRow, MutexStats
-from .trace_model import Timestamp
+from .trace_model import format_ns, parse_ns
 
 NS_PER_MS = 10**6
 
@@ -32,12 +32,15 @@ ACQUISITIONS_HEADER = ["tid", "lock_id", "request_ts", "grant_ts", "release_ts"]
 class LockAcquisition:
     tid: int
     lock_id: int
-    request_ts: Timestamp
-    grant_ts: Timestamp
-    release_ts: Timestamp
+    request_ts: int  # ns
+    grant_ts: int  # ns
+    release_ts: int  # ns
 
     def __post_init__(self) -> None:
-        if not self.request_ts.ns <= self.grant_ts.ns <= self.release_ts.ns:
+        if not 0 <= self.request_ts <= self.grant_ts <= self.release_ts:
+            if self.request_ts < 0:
+                raise ValueError(
+                    f"timestamp must be non-negative, got {self.request_ts}")
             raise ValueError("acquisition times must satisfy request <= grant <= release")
 
 
@@ -51,13 +54,13 @@ def contention_stats(acquisitions) -> list:
     """
     by_lock: dict[int, list] = {}
     for index, acq in enumerate(acquisitions):
-        by_lock.setdefault(acq.lock_id, []).append((acq.grant_ts.ns, index, acq))
+        by_lock.setdefault(acq.lock_id, []).append((acq.grant_ts, index, acq))
 
     stats = []
     for lock_id in sorted(by_lock):
         grants = [acq for _, _, acq in sorted(by_lock[lock_id], key=lambda g: g[:2])]
         locked = len(grants)
-        waits_ns = [a.grant_ts.ns - a.request_ts.ns for a in grants]
+        waits_ns = [a.grant_ts - a.request_ts for a in grants]
         contended = sum(1 for w in waits_ns if w > 0)
         changed = sum(
             1 for prev, cur in zip(grants, grants[1:]) if prev.tid != cur.tid
@@ -102,12 +105,12 @@ def build_lock_order_graph(acquisitions) -> LockOrderGraph:
     by_tid: dict[int, list] = {}
     for index, acq in enumerate(acquisitions):
         graph.nodes.add(acq.lock_id)
-        by_tid.setdefault(acq.tid, []).append((acq.grant_ts.ns, index, acq))
+        by_tid.setdefault(acq.tid, []).append((acq.grant_ts, index, acq))
 
     for tid in sorted(by_tid):
         held: list = []
         for grant_ns, _, acq in sorted(by_tid[tid], key=lambda g: g[:2]):
-            held = [b for b in held if b.release_ts.ns > grant_ns]
+            held = [b for b in held if b.release_ts > grant_ns]
             for b in held:
                 if b.lock_id == acq.lock_id:
                     graph.reentrant[acq.lock_id] = graph.reentrant.get(acq.lock_id, 0) + 1
@@ -164,9 +167,9 @@ def read_acquisitions_csv(text: str) -> list:
                 LockAcquisition(
                     tid=int(row[0]),
                     lock_id=int(row[1]),
-                    request_ts=Timestamp.parse(row[2]),
-                    grant_ts=Timestamp.parse(row[3]),
-                    release_ts=Timestamp.parse(row[4]),
+                    request_ts=parse_ns(row[2]),
+                    grant_ts=parse_ns(row[3]),
+                    release_ts=parse_ns(row[4]),
                 )
             )
         except ValueError as exc:
@@ -182,8 +185,8 @@ def write_acquisitions_csv(acquisitions) -> str:
         writer.writerow([
             acq.tid,
             acq.lock_id,
-            acq.request_ts.format(),
-            acq.grant_ts.format(),
-            acq.release_ts.format(),
+            format_ns(acq.request_ts),
+            format_ns(acq.grant_ts),
+            format_ns(acq.release_ts),
         ])
     return out.getvalue()

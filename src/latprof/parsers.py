@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trace_model import NS_PER_SEC, Frame, Timestamp, TraceEvent
+from .trace_model import NS_PER_SEC, Frame, TraceEvent
 
 
 class ParseError(Exception):
@@ -170,7 +170,7 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
                     pid=pid,
                     tid=int(tid) if tid is not None else pid,
                     cpu=int(cpu),
-                    ts=Timestamp(int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0"))),
+                    ts=int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
                     event=event,
                     args=dict(args),
                     period=int(period or 1),

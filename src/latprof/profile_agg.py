@@ -34,14 +34,6 @@ class FlatProfileRow:
         return tuple(part for part in (self.comm, self.dso, self.symbol) if part is not None)
 
 
-def _sample_filter(event_filter):
-    if event_filter is None:
-        return lambda ev: ev.event_class == "cpu-clock"
-    if callable(event_filter):
-        return event_filter
-    return lambda ev: ev.event_class == event_filter or ev.event == event_filter
-
-
 def _leaf_parts(event):
     leaf = event.leaf()
     dso = leaf.dso if leaf is not None and leaf.dso else UNKNOWN
@@ -49,20 +41,18 @@ def _leaf_parts(event):
     return dso, symbol
 
 
-def flat_profile(events, group_by=("comm", "dso", "symbol"), event_filter=None):
-    """Aggregate sample events into percent-of-total rows.
+def flat_profile(events, group_by=("comm", "dso", "symbol")):
+    """Aggregate cpu-clock sample events into percent-of-total rows.
 
     `group_by` selects any subset of (comm, dso, symbol); the leaf frame
     supplies dso and symbol.  Rows come back sorted by percent descending,
-    ties by key ascending.  Raises NoSamples when the filter matches
-    nothing.
+    ties by key ascending.  Raises NoSamples when there are no samples.
     """
     group_by = set(group_by)
-    keep = _sample_filter(event_filter)
     counts = {}
     weights = {}
     for ev in events:
-        if not keep(ev):
+        if ev.event_class != "cpu-clock":
             continue
         dso, symbol = _leaf_parts(ev)
         key = (
@@ -73,7 +63,7 @@ def flat_profile(events, group_by=("comm", "dso", "symbol"), event_filter=None):
         counts[key] = counts.get(key, 0) + 1
         weights[key] = weights.get(key, 0) + ev.period
     if not counts:
-        raise NoSamples("no sample events matched the filter")
+        raise NoSamples("no cpu-clock sample events")
     total = sum(weights.values())
     rows = [
         FlatProfileRow(

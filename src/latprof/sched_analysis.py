@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .trace_model import (
-    NS_PER_SEC,
-    Timestamp,
     WaitInterval,
     WaitKind,
     WaitReason,
@@ -81,8 +78,8 @@ class ThreadState(enum.Enum):
 
 @dataclass
 class TimelineInterval:
-    start: Timestamp
-    end: Timestamp
+    start: int  # ns
+    end: int  # ns
     state: ThreadState
     stack: tuple = ()
     reason: WaitReason | None = None  # set on Sleeping and Runnable intervals
@@ -103,8 +100,8 @@ class ThreadTimeline:
 class Timelines:
     by_tid: dict = field(default_factory=dict)
     anomalies: int = 0
-    origin: Timestamp | None = None
-    end: Timestamp | None = None
+    origin: int | None = None  # ns
+    end: int | None = None  # ns
 
 
 def _kind_rank(event) -> int:
@@ -126,7 +123,7 @@ def canonical_sort(events) -> list:
     return [
         ev
         for _, _, _, _, _, ev in sorted(
-            (ev.ts.ns, _kind_rank(ev), ev.cpu, ev.event, i, ev)
+            (ev.ts, _kind_rank(ev), ev.cpu, ev.event, i, ev)
             for i, ev in enumerate(events)
         )
     ]
@@ -138,7 +135,7 @@ def _int_arg(event, key) -> int | None:
 
 
 class _ThreadMachine:
-    def __init__(self, tid: int, origin: Timestamp):
+    def __init__(self, tid: int, origin: int):
         self.timeline = ThreadTimeline(tid=tid)
         self.state = ThreadState.UNKNOWN
         self.since = origin
@@ -161,7 +158,7 @@ class _ThreadMachine:
         self.stack = stack
         self.reason = reason
 
-    def finish(self, end: Timestamp):
+    def finish(self, end: int):
         self.timeline.intervals.append(
             TimelineInterval(
                 start=self.since,
@@ -224,9 +221,9 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
             elif name.startswith("sys_exit_"):
                 pending_syscall[ev.tid] = None
         elif cls == "block":
-            last_block_ns[ev.tid] = ev.ts.ns
+            last_block_ns[ev.tid] = ev.ts
         elif cls in ("net", "sock", "skb"):
-            last_net_ns[ev.tid] = ev.ts.ns
+            last_net_ns[ev.tid] = ev.ts
         if cls != "sched":
             continue
         name = ev.event_name
@@ -249,8 +246,8 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
                             prev_state,
                             ev.stack,
                             pending_syscall.get(prev),
-                            recent(last_block_ns, prev, ev.ts.ns),
-                            recent(last_net_ns, prev, ev.ts.ns),
+                            recent(last_block_ns, prev, ev.ts),
+                            recent(last_net_ns, prev, ev.ts),
                             config.lock_symbols,
                         )
                         m.transition(ev.ts, ThreadState.SLEEPING, stack=ev.stack,
@@ -343,22 +340,6 @@ class WaitSummary:
         return sorted(((tid, reason, ns)
                        for (tid, reason), ns in self.by_tid_reason.items()),
                       key=lambda row: (row[0], row[1].value))
-
-    def seconds(self, key) -> Fraction:
-        return Fraction(self.by_tid_reason.get(key, 0), NS_PER_SEC)
-
-    def merge(self, other: "WaitSummary") -> "WaitSummary":
-        out = WaitSummary()
-        for src in (self, other):
-            for key, ns in src.by_tid_reason.items():
-                out.by_tid_reason[key] = out.by_tid_reason.get(key, 0) + ns
-            for sig, (ns, count) in src.by_stack.items():
-                cur = out.by_stack.setdefault(sig, [0, 0])
-                cur[0] += ns
-                cur[1] += count
-            for bucket, count in src.histogram.items():
-                out.histogram[bucket] = out.histogram.get(bucket, 0) + count
-        return out
 
 
 def summarize_waits(intervals) -> WaitSummary:

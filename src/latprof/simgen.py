@@ -41,7 +41,7 @@ from .sched_analysis import (
     build_timelines,
     summarize_waits,
 )
-from .trace_model import Frame, Timestamp, TraceEvent, WaitKind
+from .trace_model import Frame, TraceEvent, WaitKind
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
@@ -162,8 +162,8 @@ class SimResult:
     @cached_property
     def acquisitions(self) -> list:
         return [
-            LockAcquisition(tid=tid, lock_id=lock, request_ts=Timestamp(request),
-                            grant_ts=Timestamp(grant), release_ts=Timestamp(release))
+            LockAcquisition(tid=tid, lock_id=lock, request_ts=request,
+                            grant_ts=grant, release_ts=release)
             for grant, tid, _, lock, request, release in self.acquisition_rows
         ]
 
@@ -261,7 +261,7 @@ class _Simulator:
         thread.block_event_index = len(self.events)
         self.events.append(TraceEvent(
             comm=thread.comm, pid=thread.tid, tid=thread.tid, cpu=thread.cpu,
-            ts=Timestamp(now), event="sched:sched_switch",
+            ts=now, event="sched:sched_switch",
             args={
                 "prev_comm": thread.comm, "prev_pid": str(thread.tid),
                 "prev_prio": "120", "prev_state": "S",
@@ -273,7 +273,7 @@ class _Simulator:
     def _emit_switch_in(self, thread: _Thread, now: int):
         self.events.append(TraceEvent(
             comm=thread.comm, pid=thread.tid, tid=thread.tid, cpu=thread.cpu,
-            ts=Timestamp(now), event="sched:sched_switch",
+            ts=now, event="sched:sched_switch",
             args={
                 "prev_comm": "swapper", "prev_pid": "0", "prev_prio": "120",
                 "prev_state": "R",
@@ -285,7 +285,7 @@ class _Simulator:
     def _emit_wakeup(self, waker: _Thread, woken: _Thread, now: int):
         self.events.append(TraceEvent(
             comm=waker.comm, pid=waker.tid, tid=waker.tid, cpu=waker.cpu,
-            ts=Timestamp(now), event="sched:sched_wakeup",
+            ts=now, event="sched:sched_wakeup",
             args={"comm": woken.comm, "pid": str(woken.tid), "prio": "120",
                   "target_cpu": str(woken.cpu)},
         ))
@@ -526,7 +526,7 @@ def replay_check(events, truth: GroundTruth, config: AnalysisConfig = None) -> R
     # of its discrepancies are degradation, not analyzer faults
     stream_truncated = (
         truth.completion_ns is not None
-        and (timelines.end is None or timelines.end.ns < truth.completion_ns)
+        and (timelines.end is None or timelines.end < truth.completion_ns)
     )
 
     measured = {}

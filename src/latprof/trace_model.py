@@ -1,16 +1,16 @@
 """Core domain types shared by parsers, analyzers, and exporters.
 
 All values are immutable after construction and safe to share between
-threads.  Timestamps are integer nanoseconds internally so that long traces
-never accumulate floating-point drift; decimal "sec.frac" text converts
-exactly at nanosecond resolution.
+threads.  Trace times (event timestamps, interval bounds, lock acquisition
+times) are plain non-negative int nanoseconds, so long traces never
+accumulate floating-point drift; `parse_ns` and `format_ns` convert
+decimal "sec.frac" text exactly at nanosecond resolution at the edges.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 NS_PER_SEC = 10**9
 
@@ -36,57 +36,23 @@ def classify_event(event_name: str) -> str:
     return "other"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Timestamp:
-    """A point in trace time, stored as integer nanoseconds."""
+def parse_ns(text: str) -> int:
+    """Parse decimal seconds ("12345.678901") exactly to int nanoseconds.
 
-    ns: int
+    Fractional digits beyond nanosecond resolution are truncated, not
+    rounded.
+    """
+    text = text.strip()
+    whole, _, frac = text.partition(".")
+    if not (whole.isdecimal() and (frac == "" or frac.isdecimal())):
+        raise ValueError(f"bad timestamp {text!r}")
+    return int(whole) * NS_PER_SEC + int((frac + "000000000")[:9])
 
-    def __post_init__(self) -> None:
-        if self.ns < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.ns}")
 
-    @classmethod
-    def parse(cls, text: str) -> "Timestamp":
-        """Parse decimal seconds ("12345.678901") exactly to nanoseconds.
-
-        Fractional digits beyond nanosecond resolution are truncated, not
-        rounded.
-        """
-        text = text.strip()
-        whole, _, frac = text.partition(".")
-        if not (whole.isdecimal() and (frac == "" or frac.isdecimal())):
-            raise ValueError(f"bad timestamp {text!r}")
-        frac = (frac + "000000000")[:9]
-        return cls(int(whole) * NS_PER_SEC + int(frac))
-
-    @classmethod
-    def from_seconds(cls, seconds) -> "Timestamp":
-        """Build from a rational/int second count (exact)."""
-        ns = Fraction(seconds) * NS_PER_SEC
-        if ns.denominator != 1:
-            raise ValueError(f"{seconds} is not representable in nanoseconds")
-        return cls(int(ns))
-
-    def seconds(self) -> Fraction:
-        return Fraction(self.ns, NS_PER_SEC)
-
-    def format(self, digits: int = 9) -> str:
-        """Render "sec.frac" with exactly `digits` fractional digits.
-
-        Sub-digit precision is truncated, never rounded.
-        """
-        whole, rem = divmod(self.ns, NS_PER_SEC)
-        frac = f"{rem:09d}"[:digits]
-        return f"{whole}.{frac}" if digits > 0 else str(whole)
-
-    def format_ms(self) -> str:
-        """Millisecond "ss.SSS" display form (truncating)."""
-        return self.format(3)
-
-    def __sub__(self, other: "Timestamp") -> int:
-        """Difference in integer nanoseconds."""
-        return self.ns - other.ns
+def format_ns(ns: int) -> str:
+    """Render int nanoseconds as "sec.frac" with nine fractional digits."""
+    whole, rem = divmod(ns, NS_PER_SEC)
+    return f"{whole}.{rem:09d}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +89,7 @@ class TraceEvent:
     pid: int
     tid: int
     cpu: int
-    ts: Timestamp
+    ts: int  # ns
     event: str
     args: dict = field(default_factory=dict)
     period: int = 1
@@ -136,6 +102,8 @@ class TraceEvent:
             raise ValueError(f"pid/tid must be non-negative, got {self.pid}/{self.tid}")
         if self.cpu < 0:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
+        if self.ts < 0:
+            raise ValueError(f"timestamp must be non-negative, got {self.ts}")
         object.__setattr__(self, "event_class", classify_event(self.event))
         object.__setattr__(self, "event_name", self.event.split(":", 1)[-1])
 
@@ -175,27 +143,20 @@ class WaitInterval:
     """
 
     tid: int
-    start: Timestamp
-    end: Timestamp
+    start: int  # ns
+    end: int  # ns
     kind: WaitKind
     reason: WaitReason
     stack: tuple = ()
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        if not 0 <= self.start <= self.end:
+            if self.start < 0:
+                raise ValueError(f"timestamp must be non-negative, got {self.start}")
             raise ValueError("interval end precedes start")
         if self.kind is WaitKind.RUNNABLE and self.reason is not WaitReason.SCHEDULER_DELAY:
             raise ValueError("runnable intervals are scheduler delay by definition")
-
-
-def duration_ns(w: WaitInterval) -> int:
-    return w.end - w.start
-
-
-def duration(w: WaitInterval) -> Fraction:
-    """Interval length in seconds, exact in integer nanoseconds."""
-    return Fraction(duration_ns(w), NS_PER_SEC)
 
 
 def stack_signature(stack) -> str:

@@ -2,7 +2,7 @@
 that `latprof.export` replaced, kept frozen so tests can compare the
 field-formatting writers against them byte for byte.
 
-They build an `EventRecord` and a `Timestamp` per event, a dict per bulk
+They build an `EventRecord` per event, a dict per bulk
 document and per `parse` event and frame, and call `json.dumps` per line.
 Do not optimise them: their only job is to be obviously right.
 """
@@ -12,7 +12,7 @@ import io
 import json
 
 from latprof.export import CSV_HEADER, EventRecord
-from latprof.trace_model import Timestamp
+from latprof.trace_model import NS_PER_SEC
 
 
 def trace_origin(events):
@@ -21,13 +21,20 @@ def trace_origin(events):
 
 
 def _relative_ns(ev, origin):
-    return ev.ts.ns - origin.ns
+    return ev.ts - origin
+
+
+def _format_ms(ns):
+    """ss.SSS, truncated: the old `Timestamp.format_ms` arithmetic."""
+    whole, rem = divmod(ns, NS_PER_SEC)
+    frac = f"{rem:09d}"[:3]
+    return f"{whole}.{frac}"
 
 
 def event_record(ev, origin):
     leaf = ev.leaf()
     return EventRecord(
-        timestamp_rel=Timestamp(_relative_ns(ev, origin)).format_ms(),
+        timestamp_rel=_format_ms(_relative_ns(ev, origin)),
         comm=ev.comm,
         pid=ev.pid,
         tid=ev.tid,
@@ -78,7 +85,7 @@ def perf_ndjson(events):
     for ev in events:
         lines.append(json.dumps({
             "comm": ev.comm, "pid": ev.pid, "tid": ev.tid, "cpu": ev.cpu,
-            "ts_ns": ev.ts.ns, "event": ev.event, "args": ev.args,
+            "ts_ns": ev.ts, "event": ev.event, "args": ev.args,
             "period": ev.period,
             "stack": [
                 {"address": f.address, "symbol": f.symbol,

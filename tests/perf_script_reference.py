@@ -11,7 +11,7 @@ job is to be obviously right.
 import re
 
 from latprof.parsers import MalformedLine, PerfParse
-from latprof.trace_model import NS_PER_SEC, Frame, Timestamp, TraceEvent
+from latprof.trace_model import NS_PER_SEC, Frame, TraceEvent
 
 _PERF_HEADER_RE = re.compile(
     r"^(?P<comm>\S+)\s+"
@@ -32,7 +32,7 @@ _FRAME_RE = re.compile(
 _KEYVAL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 
 
-def _timestamp(text: str) -> Timestamp:
+def _timestamp(text: str) -> int:
     text = text.strip()
     if "." in text:
         whole, frac = text.split(".", 1)
@@ -41,7 +41,7 @@ def _timestamp(text: str) -> Timestamp:
     if not (whole.isdigit() and (frac == "" or frac.isdigit())):
         raise ValueError(f"bad timestamp {text!r}")
     frac = (frac + "000000000")[:9]
-    return Timestamp(int(whole) * NS_PER_SEC + int(frac))
+    return int(whole) * NS_PER_SEC + int(frac)
 
 
 def _parse_payload(payload: str) -> dict:

@@ -46,7 +46,7 @@ from latprof.sched_analysis import (
     summarize_waits,
 )
 from latprof.simgen import SimConfig, replay_check, simulate
-from latprof.trace_model import Frame, Timestamp, TraceEvent
+from latprof.trace_model import Frame, TraceEvent, format_ns, parse_ns
 
 import listings
 
@@ -142,17 +142,17 @@ def _random_sched_events(rng):
         roll = rng.random()
         if roll < 0.4:
             events.append(TraceEvent(
-                "app", tid, tid, rng.randint(0, 2), Timestamp(t),
+                "app", tid, tid, rng.randint(0, 2), t,
                 "sched:sched_switch",
                 args={"prev_pid": str(tid),
                       "prev_state": rng.choice(["S", "D", "R", "R+", "Wz"]),
                       "next_pid": str(rng.randint(0, 4))}))
         elif roll < 0.7:
             events.append(TraceEvent(
-                "app", tid, tid, 0, Timestamp(t), "sched:sched_wakeup",
+                "app", tid, tid, 0, t, "sched:sched_wakeup",
                 args={"pid": str(rng.randint(1, 4))}))
         else:
-            events.append(TraceEvent("app", tid, tid, 0, Timestamp(t), "cpu-clock"))
+            events.append(TraceEvent("app", tid, tid, 0, t, "cpu-clock"))
     return events
 
 
@@ -166,7 +166,7 @@ def _random_samples(rng):
         )
         events.append(TraceEvent(
             rng.choice("abc"), rng.randint(1, 5), rng.randint(1, 5), 0,
-            Timestamp(rng.randrange(0, 50 * 10**9)), "cpu-clock",
+            rng.randrange(0, 50 * 10**9), "cpu-clock",
             period=rng.randint(1, 9), stack=stack))
     return events
 
@@ -386,29 +386,29 @@ def test_criterion_6_format_roundtrips(tmp_path, capsys):
     try:
         stack = (Frame(symbol="deflate", dso="libz.so"),)
         events = [
-            TraceEvent("gzip", 10, 10, 0, Timestamp.parse("100.000000001"),
+            TraceEvent("gzip", 10, 10, 0, parse_ns("100.000000001"),
                        "cpu-clock", stack=stack),
-            TraceEvent("scp", 20, 21, 3, Timestamp.parse("100.123456789"),
+            TraceEvent("scp", 20, 21, 3, parse_ns("100.123456789"),
                        "sched:sched_switch", args={"prev_pid": "21"}),
-            TraceEvent("a,b", 30, 30, 1, Timestamp.parse("101.5"), "cpu-clock"),
+            TraceEvent("a,b", 30, 30, 1, parse_ns("101.5"), "cpu-clock"),
         ]
 
         docs = parse_bulk_ndjson(to_bulk_ndjson(events))
-        origin = min(ev.ts.ns for ev in events)
+        origin = min(ev.ts for ev in events)
         for ev, doc in zip(events, docs):
             leaf = ev.leaf()
             assert doc == {
-                "timestamp_rel": Timestamp(ev.ts.ns - origin).format_ms(),
+                "timestamp_rel": format_ns(ev.ts - origin)[:-6],
                 "comm": ev.comm, "pid": ev.pid, "tid": ev.tid, "cpu": ev.cpu,
                 "event": ev.event,
                 "dso": (leaf.dso or "") if leaf else "",
                 "symbol": (leaf.symbol or "") if leaf else "",
-                "ts_ns": ev.ts.ns - origin,
+                "ts_ns": ev.ts - origin,
             }
 
         records = parse_csv(to_csv(events))
         for ev, rec in zip(events, records):
-            assert rec.timestamp_rel == Timestamp(ev.ts.ns - origin).format_ms()
+            assert rec.timestamp_rel == format_ns(ev.ts - origin)[:-6]
             assert (rec.comm, rec.pid, rec.tid, rec.cpu, rec.event) == (
                 ev.comm, ev.pid, ev.tid, ev.cpu, ev.event)
 

@@ -153,6 +153,20 @@ def test_locks_acquisitions_error_names_physical_line(tmp_path, capsys):
     assert "line 5: acquisition times must satisfy" in err
 
 
+@pytest.mark.parametrize("verb", ["offcpu", "locks"])
+def test_undecodable_input_names_file_and_line(tmp_path, capsys, verb):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"tid,lock_id,request_ts,grant_ts,release_ts\n"
+                     b"1,1,1.0,1.0,3.0\n"
+                     b"\xff1,2,2.0,2.0,2.5\n")  # the bad byte starts line 3
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"latprof: error: {path}: line 3: byte 0xff is not UTF-8"
+                   " (invalid start byte)\n")
+    assert "Traceback" not in err
+
+
 def test_graph_commands(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("a b 3\nb c 4\na c 5\n")

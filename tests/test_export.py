@@ -14,6 +14,7 @@ from latprof.export import (
     events_per_second,
     parse_bulk_ndjson,
     parse_csv,
+    render_lock_table,
     render_perf_script,
     render_text_report,
     to_bulk_ndjson,
@@ -34,11 +35,12 @@ from latprof.profile_agg import flat_profile
 from latprof.sched_analysis import summarize_waits
 from latprof.trace_model import (
     Frame,
-    Timestamp,
     TraceEvent,
     WaitInterval,
     WaitKind,
     WaitReason,
+    format_ns,
+    parse_ns,
 )
 
 import export_reference
@@ -46,7 +48,7 @@ import export_reference
 
 def ev(comm="gzip", tid=1, cpu=0, ts="10.000000000", event="cpu-clock",
        args=None, period=1, stack=()):
-    return TraceEvent(comm, tid, tid, cpu, Timestamp.parse(ts), event,
+    return TraceEvent(comm, tid, tid, cpu, parse_ns(ts), event,
                       args=args or {}, period=period, stack=tuple(stack))
 
 
@@ -148,7 +150,7 @@ _NS = st.sampled_from([0, 1, 999_999, 1_000_000, 10**9 - 1, 10**9, 7 * 10**9 + 5
 _ID = st.sampled_from([0, 1]) | st.integers(0, 2**31)
 _EVENT = st.builds(
     lambda comm, pid, tid, cpu, ns, event, args, period, stack: TraceEvent(
-        comm, pid, tid, cpu, Timestamp(ns), event, args=args, period=period,
+        comm, pid, tid, cpu, ns, event, args=args, period=period,
         stack=tuple(stack)),
     _TEXT, _ID, _ID, _ID, _NS,
     _TEXT | st.sampled_from(["cpu-clock", "sched:sched_switch"]), _ARGS,
@@ -273,7 +275,7 @@ def test_pie_empty_input():
 
 
 def test_report_empty_sections():
-    text = render_text_report(None, None, None)
+    text = render_text_report(None, None)
     assert text.count("(no data)") == 3
     assert "Flat profile" in text and "Lock contention" in text
 
@@ -283,7 +285,7 @@ def test_report_profile_ordering():
                166, 166, 154, 107, 99, 91, 83, 55, 4]
     events = [ev(comm="app", stack=(Frame(symbol=f"s{i:02d}", dso="d"),), period=w)
               for i, w in enumerate(weights)]
-    text = render_text_report(flat_profile(events), None, None, top_n=3)
+    text = render_text_report(flat_profile(events), None, top_n=3)
     data_lines = [l for l in text.splitlines()
                   if l.strip() and l.split()[0].replace(".", "").isdigit()]
     assert [l.split()[0] for l in data_lines[:3]] == ["29.88", "17.53", "10.09"]
@@ -293,15 +295,15 @@ def test_report_mutrace_columns():
     from latprof.parsers import parse_mutrace
     import listings
     rows = parse_mutrace(listings.MUTRACE)
-    text = render_text_report(None, None, rows)
+    text = "\n".join(render_lock_table(rows))
     assert "Locked  Changed    Cont." in text
     assert "45381.448" in text and "5672.681" in text and "M-.?-." in text
 
 
 def test_report_wait_section():
-    waits = [WaitInterval(5, Timestamp(0), Timestamp(4_000_000),
+    waits = [WaitInterval(5, 0, 4_000_000,
                           WaitKind.BLOCKED, WaitReason.LOCK)]
-    text = render_text_report(None, summarize_waits(waits), None)
+    text = render_text_report(None, summarize_waits(waits))
     assert "Lock" in text
     assert "0.004000" in text
 
@@ -314,12 +316,11 @@ def test_report_json_bundles_views():
     doc = json.loads(to_report_json(
         profile=flat_profile(events, group_by=("comm",)),
         wait_summary=summarize_waits([]),
-        mutex_stats=[],
         histogram=events_per_second(events, 1),
         pie=utilization_pie(events),
     ))
     assert set(doc) == {"profile", "wait_totals", "wait_stacks",
-                        "wait_histogram_log2_us", "locks", "events_per_bin",
+                        "wait_histogram_log2_us", "events_per_bin",
                         "utilization"}
     assert doc["profile"][0]["percent"] == 50.0
 
@@ -361,3 +362,59 @@ def test_render_parse_identity_with_stacks():
 def test_render_byte_determinism():
     events = [ev(ts="1.5"), ev(ts="2.5")]
     assert render_perf_script(events) == render_perf_script(events)
+
+
+# visible characters: no whitespace (so no line break either), no control,
+# format or surrogate code points
+_VISIBLE = st.characters(blacklist_categories=("Z", "C"))
+_WORD_CHARS = "abcxyzABCXYZ019_"
+_PAYLOAD_KEY = st.builds(str.__add__, st.sampled_from("aZ_"), st.text(_WORD_CHARS, max_size=5))
+_EVENT_PART = st.text(_WORD_CHARS + ".-", min_size=1, max_size=8)
+_PAYLOAD_VALUE = st.text(_VISIBLE, max_size=6)
+_FRAME_TEXT = st.text(st.characters(blacklist_categories=("Z", "C"),
+                                    blacklist_characters="+()"), min_size=1, max_size=8)
+
+
+def _renderable_events():
+    """Events the pinned perf-script grammar can carry, so that parsing the
+    rendered text must give back every field:
+
+    * comm is non-empty visible text (no whitespace);
+    * the event name fits the grammar's ``name[:name]`` of ``[A-Za-z0-9_.-]``;
+    * period >= 1;
+    * key=value args have identifier keys, values of visible text, and are
+      not the single key "raw" (which renders as a raw payload);
+    * a raw payload is visible text and spaces, starts with ':' (so its first
+      token is neither ``key=value`` nor ``==>``) and has no trailing space;
+    * frames have an address, a symbol that is not "[unknown]" and a dso,
+      both non-empty visible text without '+', '(' or ')'.
+
+    Timestamps cover [0, 2**64), with the second and range boundaries.
+    """
+    args = st.dictionaries(_PAYLOAD_KEY, _PAYLOAD_VALUE, max_size=4).filter(
+        lambda d: list(d) != ["raw"])
+    raw = st.text(_VISIBLE | st.just(" "), max_size=8).map(
+        lambda text: {"raw": (":" + text).rstrip()})
+    frame = st.builds(
+        Frame, address=st.integers(0, 2**64),
+        symbol=_FRAME_TEXT.filter(lambda text: text != "[unknown]"),
+        offset=st.none() | st.integers(0, 2**64), dso=_FRAME_TEXT)
+    ns = st.sampled_from([0, 1, 10**9 - 1, 10**9, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    ids = st.integers(0, 2**63)
+    return st.builds(
+        lambda comm, pid, tid, cpu, ts, event, args, period, stack: TraceEvent(
+            comm, pid, tid, cpu, ts, event, args=args, period=period,
+            stack=tuple(stack)),
+        st.text(_VISIBLE, min_size=1, max_size=8), ids, ids, st.integers(0, 2**31), ns,
+        _EVENT_PART | st.builds("{}:{}".format, _EVENT_PART, _EVENT_PART),
+        args | raw, st.integers(1, 2**63), st.lists(frame, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_renderable_events(), max_size=6))
+def test_render_parse_round_trip(events):
+    res = parse_perf_script(render_perf_script(events))
+    assert res.errors == []
+    assert res.events == events
+    # the acquisitions CSV's timestamp text round-trips over the same range
+    assert [parse_ns(format_ns(e.ts)) for e in events] == [e.ts for e in events]

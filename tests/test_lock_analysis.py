@@ -13,14 +13,14 @@ from latprof.lock_analysis import (
     write_acquisitions_csv,
 )
 from latprof.parsers import MalformedRow, MutexStats
-from latprof.trace_model import Timestamp
+from latprof.trace_model import parse_ns
 
 
 def acq(tid, lock, request, grant, release):
     return LockAcquisition(tid, lock,
-                           Timestamp.parse(str(request)),
-                           Timestamp.parse(str(grant)),
-                           Timestamp.parse(str(release)))
+                           parse_ns(str(request)),
+                           parse_ns(str(grant)),
+                           parse_ns(str(release)))
 
 
 def test_acquisition_time_ordering_enforced():
@@ -28,6 +28,14 @@ def test_acquisition_time_ordering_enforced():
         acq(1, 0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError):
         acq(1, 0, 1.0, 3.0, 2.0)
+
+
+def test_acquisition_rejects_negative_time():
+    with pytest.raises(ValueError, match="timestamp must be non-negative, got -1"):
+        LockAcquisition(1, 0, -1, 0, 1)
+    with pytest.raises(ValueError, match="request <= grant <= release"):
+        LockAcquisition(1, 0, 0, -1, 1)
+    LockAcquisition(1, 0, 0, 0, 0)
 
 
 def test_changed_counts_owner_changes():
@@ -72,8 +80,8 @@ def test_stats_identity_avg_total_locked():
             t += rng.randint(1, 10**7)
             wait = rng.randint(0, 10**6)
             acqs.append(LockAcquisition(rng.randint(1, 4), rng.randint(0, 2),
-                                        Timestamp(t), Timestamp(t + wait),
-                                        Timestamp(t + wait + 100)))
+                                        t, t + wait,
+                                        t + wait + 100))
         for row in contention_stats(acqs):
             assert row.avg_ms == row.total_ms / row.locked
             assert row.contended <= row.locked
@@ -88,8 +96,8 @@ def test_stats_match_per_grant_fraction_sums():
             request = rng.randint(0, 10**9)
             grant = request + rng.choice([0, rng.randint(1, 10**3), rng.randint(1, 10**8)])
             acqs.append(LockAcquisition(rng.randint(1, 3), rng.randint(0, 2),
-                                        Timestamp(request), Timestamp(grant),
-                                        Timestamp(grant + rng.randint(0, 10**6))))
+                                        request, grant,
+                                        grant + rng.randint(0, 10**6)))
         for row in contention_stats(acqs):
             grants = [a for a in acqs if a.lock_id == row.mutex_id]
             waits = [Fraction(a.grant_ts - a.request_ts, 10**6) for a in grants]
@@ -118,9 +126,9 @@ def test_stats_roundtrip_from_synthetic_row():
     for tid, wait in zip(tids, waits_ms):
         t_ns += 10**9
         wait_ns = int(wait * 10**6)
-        acqs.append(LockAcquisition(tid, 0, Timestamp(t_ns),
-                                    Timestamp(t_ns + wait_ns),
-                                    Timestamp(t_ns + wait_ns + 1000)))
+        acqs.append(LockAcquisition(tid, 0, t_ns,
+                                    t_ns + wait_ns,
+                                    t_ns + wait_ns + 1000))
     (row,) = contention_stats(acqs)
     assert (row.locked, row.changed, row.contended) == (8, 4, 4)
     assert (row.total_ms, row.avg_ms, row.max_ms) == (
@@ -134,8 +142,8 @@ def test_single_thread_never_changes():
         t = 0
         for _ in range(rng.randint(1, 20)):
             t += rng.randint(1, 10**6)
-            acqs.append(LockAcquisition(1, rng.randint(0, 3), Timestamp(t),
-                                        Timestamp(t), Timestamp(t + 10)))
+            acqs.append(LockAcquisition(1, rng.randint(0, 3), t,
+                                        t, t + 10))
         for row in contention_stats(acqs):
             assert row.changed == 0
 
@@ -220,10 +228,10 @@ def test_deadlock_risk_matches_brute_force_on_random_digraphs():
         t = 0
         for tid, (u, v) in enumerate(graph_edges, 1):
             t += 10
-            acqs.append(LockAcquisition(tid, u, Timestamp(t), Timestamp(t),
-                                        Timestamp(t + 5)))
-            acqs.append(LockAcquisition(tid, v, Timestamp(t + 1), Timestamp(t + 1),
-                                        Timestamp(t + 2)))
+            acqs.append(LockAcquisition(tid, u, t, t,
+                                        t + 5))
+            acqs.append(LockAcquisition(tid, v, t + 1, t + 1,
+                                        t + 2))
         log = build_lock_order_graph(acqs)
         assert set(log.edges) == set(graph_edges)
         cycles = detect_deadlock_risk(log, max_len=8)

@@ -18,7 +18,7 @@ from latprof.parsers import (
     parse_strace,
     sniff_format,
 )
-from latprof.trace_model import Timestamp
+from latprof.trace_model import parse_ns
 
 import listings
 import perf_script_reference
@@ -35,7 +35,7 @@ def test_perf_script_switch_header():
     assert ev.comm == "gzip"
     assert ev.pid == 1234 and ev.tid == 1234
     assert ev.cpu == 2
-    assert ev.ts == Timestamp.parse("12345.678901")
+    assert ev.ts == parse_ns("12345.678901")
     assert ev.event_class == "sched"
     assert ev.event_name == "sched_switch"
     assert ev.args["prev_state"] == "S"

@@ -11,7 +11,7 @@ from latprof.profile_agg import (
     merge_flat_profiles,
     top_n,
 )
-from latprof.trace_model import Frame, Timestamp, TraceEvent
+from latprof.trace_model import Frame, TraceEvent
 
 
 def sample(comm, dso, symbol, tid=1, ts=0, period=1, stack_syms=None):
@@ -19,7 +19,7 @@ def sample(comm, dso, symbol, tid=1, ts=0, period=1, stack_syms=None):
         stack = (Frame(symbol=symbol, dso=dso),)
     else:
         stack = tuple(Frame(symbol=s, dso=dso) for s in stack_syms)
-    return TraceEvent(comm, tid, tid, 0, Timestamp(ts), "cpu-clock",
+    return TraceEvent(comm, tid, tid, 0, ts, "cpu-clock",
                       period=period, stack=stack)
 
 
@@ -55,13 +55,13 @@ def test_flat_profile_by_comm_dso():
 
 def test_flat_profile_ignores_non_samples():
     events = FOUR_SAMPLES + [
-        TraceEvent("gzip", 1, 1, 0, Timestamp(0), "sched:sched_switch")]
+        TraceEvent("gzip", 1, 1, 0, 0, "sched:sched_switch")]
     assert sum(r.samples for r in flat_profile(events)) == 4
 
 
 def test_flat_profile_no_samples():
     with pytest.raises(NoSamples):
-        flat_profile([TraceEvent("x", 1, 1, 0, Timestamp(0), "sched:sched_switch")])
+        flat_profile([TraceEvent("x", 1, 1, 0, 0, "sched:sched_switch")])
 
 
 def test_flat_profile_period_weighting():
@@ -72,7 +72,7 @@ def test_flat_profile_period_weighting():
 
 
 def test_flat_profile_unknown_symbol_bucket():
-    ev = TraceEvent("a", 1, 1, 0, Timestamp(0), "cpu-clock",
+    ev = TraceEvent("a", 1, 1, 0, 0, "cpu-clock",
                     stack=(Frame(address=0x123, dso="libx.so"),))
     (row,) = flat_profile([ev], group_by=("dso", "symbol"))
     assert row.symbol == "[unknown]"
@@ -146,7 +146,7 @@ def test_call_graph_recursion_dedup():
 
 
 def test_call_graph_empty():
-    g = build_call_graph([TraceEvent("x", 1, 1, 0, Timestamp(0), "cpu-clock")])
+    g = build_call_graph([TraceEvent("x", 1, 1, 0, 0, "cpu-clock")])
     assert g.edges == {} and g.total_weight == 0
 
 

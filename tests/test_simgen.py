@@ -79,7 +79,7 @@ def test_golden_hand_traced_run():
     assert res.truth.pending == []
 
     # events: 2 initial switch-ins, P's block switch-out, wakeup + switch-in
-    kinds = [(ev.event_name, ev.ts.ns) for ev in res.events]
+    kinds = [(ev.event_name, ev.ts) for ev in res.events]
     assert kinds == [
         ("sched_switch", 0),
         ("sched_switch", 0),
@@ -97,8 +97,8 @@ def test_golden_hand_traced_run():
     assert len(res.acquisitions) == 8
     slots, mutex = slots_lock_id(0), mutex_lock_id(0)
     p_iter2 = [a for a in res.acquisitions
-               if a.tid == 1 and a.lock_id == slots and a.request_ts.ns == 2_100_000_000]
-    assert len(p_iter2) == 1 and p_iter2[0].grant_ts.ns == 3_100_000_000
+               if a.tid == 1 and a.lock_id == slots and a.request_ts == 2_100_000_000]
+    assert len(p_iter2) == 1 and p_iter2[0].grant_ts == 3_100_000_000
 
 
 def test_blocked_initial_consumer_never_blocks_producer_on_empty():
@@ -256,8 +256,8 @@ def test_golden_outputs(name):
     if name == "inverted-deadlock":
         assert res.truth.deadlocked
         # producer 2 holds the mutex and consumer 3 a full slot at the stop
-        stop = max(a.release_ts.ns for a in res.acquisitions)
-        wedged = {(a.tid, a.lock_id) for a in res.acquisitions if a.release_ts.ns == stop}
+        stop = max(a.release_ts for a in res.acquisitions)
+        wedged = {(a.tid, a.lock_id) for a in res.acquisitions if a.release_ts == stop}
         assert wedged == {(2, mutex_lock_id(0)), (3, slots_lock_id(0))}
 
 

@@ -1,18 +1,17 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from latprof.export import parse_csv, to_csv
 from latprof.trace_model import (
     Frame,
-    Timestamp,
     TraceEvent,
     WaitInterval,
     WaitKind,
     WaitReason,
     classify_event,
-    duration,
-    duration_ns,
+    format_ns,
+    parse_ns,
 )
 
 
@@ -40,40 +39,44 @@ def test_classify_event_pure():
 
 
 def test_timestamp_parse_exact():
-    assert Timestamp.parse("12345.678901").ns == 12345_678_901_000
-    assert Timestamp.parse("0.000000001").ns == 1
-    assert Timestamp.parse("7").ns == 7_000_000_000
+    assert parse_ns("12345.678901") == 12345_678_901_000
+    assert parse_ns("0.000000001") == 1
+    assert parse_ns("7") == 7_000_000_000
     # truncation beyond nanoseconds, not rounding
-    assert Timestamp.parse("0.0000000019").ns == 1
+    assert parse_ns("0.0000000019") == 1
 
 
 def test_timestamp_rejects_negative_and_garbage():
     with pytest.raises(ValueError):
-        Timestamp(-1)
+        TraceEvent("x", 1, 1, 0, -1, "cpu-clock")
     with pytest.raises(ValueError):
-        Timestamp.parse("-1.0")
+        parse_ns("-1.0")
     with pytest.raises(ValueError):
-        Timestamp.parse("abc")
+        parse_ns("abc")
 
 
 def test_timestamp_parse_rejects_non_ascii_digits():
     # str.isdigit accepts superscripts that int() does not
     for text in ("1.²", "².5", "²"):
         with pytest.raises(ValueError, match="bad timestamp"):
-            Timestamp.parse(text)
+            parse_ns(text)
 
 
 def test_timestamp_format_truncates_milliseconds():
-    assert Timestamp.parse("1.2349").format_ms() == "1.234"
-    assert Timestamp(999_999).format_ms() == "0.000"
-    assert Timestamp.parse("12.300").format_ms() == "12.300"
+    # the ss.SSS form export writes: truncated below a millisecond, not rounded
+    stamps = [0, parse_ns("1.2349"), 999_999, parse_ns("12.300")]
+    rows = parse_csv(to_csv([TraceEvent("x", 1, 1, 0, ts, "cpu-clock") for ts in stamps]))
+    assert [r.timestamp_rel for r in rows] == ["0.000", "1.234", "0.000", "12.300"]
 
 
 def test_timestamp_roundtrip_full_precision():
+    assert format_ns(0) == "0.000000000"
+    assert format_ns(999_999) == "0.000999999"
+    assert format_ns(12_300_000_000) == "12.300000000"
     rng = random.Random(7)
     for _ in range(2000):
-        ts = Timestamp(rng.randrange(0, 10**6 * 10**9))
-        assert Timestamp.parse(ts.format()) == ts
+        ns = rng.randrange(0, 10**6 * 10**9)
+        assert parse_ns(format_ns(ns)) == ns
 
 
 def test_frame_requires_symbol_or_address():
@@ -84,10 +87,10 @@ def test_frame_requires_symbol_or_address():
 
 
 def test_event_derives_class_and_name():
-    ev = TraceEvent("gzip", 1, 1, 0, Timestamp(0), "sched:sched_switch")
+    ev = TraceEvent("gzip", 1, 1, 0, 0, "sched:sched_switch")
     assert ev.event_class == "sched"
     assert ev.event_name == "sched_switch"
-    sample = TraceEvent("gzip", 1, 1, 0, Timestamp(0), "cpu-clock")
+    sample = TraceEvent("gzip", 1, 1, 0, 0, "cpu-clock")
     assert sample.event_class == "cpu-clock"
     assert sample.event_name == "cpu-clock"
 
@@ -97,40 +100,54 @@ def test_event_class_and_name_are_stored_not_compared():
                              ("sched:sched_switch", "sched", "sched_switch"),
                              ("syscalls:sys_enter:x", "syscalls", "sys_enter:x"),
                              ("probe:a:b", "other", "a:b")]:
-        ev = TraceEvent("app", 1, 1, 0, Timestamp(0), event)
+        ev = TraceEvent("app", 1, 1, 0, 0, event)
         assert (ev.event_class, ev.event_name) == (cls, name)
         assert (ev.event_class, ev.event_name) == (
             classify_event(event), event.split(":", 1)[-1])
         assert "event_class" not in repr(ev)
-        assert ev == TraceEvent("app", 1, 1, 0, Timestamp(0), event)
+        assert ev == TraceEvent("app", 1, 1, 0, 0, event)
 
 
 def test_event_rejects_nonpositive_ids():
     with pytest.raises(ValueError):
-        TraceEvent("x", -1, 1, 0, Timestamp(0), "cpu-clock")
+        TraceEvent("x", -1, 1, 0, 0, "cpu-clock")
     with pytest.raises(ValueError):
-        TraceEvent("x", 1, -1, 0, Timestamp(0), "cpu-clock")
+        TraceEvent("x", 1, -1, 0, 0, "cpu-clock")
+
+
+def test_event_rejects_negative_time():
+    with pytest.raises(ValueError, match="timestamp must be non-negative, got -1"):
+        TraceEvent("x", 1, 1, 0, -1, "cpu-clock")
+    assert TraceEvent("x", 1, 1, 0, 0, "cpu-clock").ts == 0
 
 
 def test_duration_exact_nanoseconds():
-    w = WaitInterval(1, Timestamp.parse("1.000000000"), Timestamp.parse("1.000000000"),
+    w = WaitInterval(1, parse_ns("1.000000000"), parse_ns("1.000000000"),
                      WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert duration(w) == 0
-    w = WaitInterval(1, Timestamp.parse("0.5"), Timestamp.parse("2.0"),
+    assert w.end - w.start == 0
+    w = WaitInterval(1, parse_ns("0.5"), parse_ns("2.0"),
                      WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert duration(w) == Fraction(3, 2)
+    assert w.end - w.start == 1_500_000_000
     # oracle: integer-nanosecond subtraction
-    start = Timestamp.parse("12345.678901")
-    end = Timestamp.parse("12345.678950")
+    start = parse_ns("12345.678901")
+    end = parse_ns("12345.678950")
     expected_ns = 12345_678_950_000 - 12345_678_901_000
     w = WaitInterval(1, start, end, WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert duration_ns(w) == expected_ns == 49_000
-    assert duration(w) == Fraction(49_000, 10**9) == Fraction("0.000049")
+    assert w.end - w.start == expected_ns == 49_000
 
 
 def test_wait_interval_invariants():
     with pytest.raises(ValueError):
-        WaitInterval(1, Timestamp(5), Timestamp(4), WaitKind.BLOCKED, WaitReason.UNKNOWN)
+        WaitInterval(1, 5, 4, WaitKind.BLOCKED, WaitReason.UNKNOWN)
     with pytest.raises(ValueError):
-        WaitInterval(1, Timestamp(0), Timestamp(1), WaitKind.RUNNABLE, WaitReason.LOCK)
-    WaitInterval(1, Timestamp(0), Timestamp(1), WaitKind.RUNNABLE, WaitReason.SCHEDULER_DELAY)
+        WaitInterval(1, 0, 1, WaitKind.RUNNABLE, WaitReason.LOCK)
+    WaitInterval(1, 0, 1, WaitKind.RUNNABLE, WaitReason.SCHEDULER_DELAY)
+
+
+def test_wait_interval_rejects_negative_time():
+    with pytest.raises(ValueError, match="timestamp must be non-negative, got -2"):
+        WaitInterval(1, -2, 1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
+    with pytest.raises(ValueError, match="timestamp must be non-negative, got -2"):
+        WaitInterval(1, -2, -1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
+    with pytest.raises(ValueError, match="end precedes start"):
+        WaitInterval(1, 0, -1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
