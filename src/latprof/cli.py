@@ -14,6 +14,9 @@ yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import itertools
 import sys
 from fractions import Fraction
 
@@ -33,6 +36,24 @@ _ANALYSIS_ERRORS = (
 )
 
 
+# perf-script input is read and decoded this many bytes at a time
+_BLOCK_BYTES = 1 << 16
+
+
+def _decode(name: str, data, lines_before: int = 0) -> str:
+    """`data` decoded as UTF-8; bytes that are not UTF-8 are a ParseError
+    naming the line of the first bad one, `lines_before` lines counted
+    before `data`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks lines as text-mode reading does
+        line = lines_before + len((data[:exc.start] + b"x").splitlines())
+        raise parsers.ParseError(
+            f"{name}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+            f" ({exc.reason})") from None
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of a file; a file that is not UTF-8 is a ParseError
     naming the line of its first bad byte."""
@@ -41,15 +62,7 @@ def _read_text(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError:
         with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # bytes.splitlines breaks lines as text-mode reading does
-            line = len((data[:exc.start] + b"x").splitlines())
-            raise parsers.ParseError(
-                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
-                f" ({exc.reason})") from None
+            _decode(path, handle.read())
         raise
 
 
@@ -58,10 +71,57 @@ def _read_inputs(paths) -> list:
     texts = []
     for path in paths or ["-"]:
         if path == "-":
-            texts.append(("<stdin>", sys.stdin.read()))
+            texts.append(("<stdin>", _decode("<stdin>", sys.stdin.buffer.read())))
         else:
             texts.append((path, _read_text(path)))
     return texts
+
+
+def _read_lines(name: str, stream):
+    """Yield the lines of a binary stream's UTF-8 text, as the whole text's
+    `splitlines()` would, decoding one block at a time.
+
+    Each block is cut after its last newline byte and the rest carried
+    into the next, so no multi-byte character and no \\r\\n pair is split,
+    and the whole text is never held.  A bad byte raises `_decode`'s
+    ParseError with the same line number as decoding the whole text.
+    """
+    lines_before = 0  # line breaks, as bytes.splitlines counts them, in earlier blocks
+    rest = bytearray()
+    while True:
+        chunk = stream.read(_BLOCK_BYTES)
+        if chunk:
+            rest += chunk
+            cut = rest.rfind(b"\n", len(rest) - len(chunk)) + 1
+            if not cut:
+                continue
+        else:
+            cut = len(rest)
+        block = rest[:cut]
+        del rest[:cut]
+        yield from _decode(name, block, lines_before).splitlines()
+        if not chunk:
+            return
+        # the block ends in "\n", so no \r\n pair straddles its end
+        lines_before += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+
+
+@contextlib.contextmanager
+def _open_inputs(paths):
+    """(name, binary stream) for each input path ('-' is stdin), every file
+    opened before any is read, so a missing one fails before any output."""
+    with contextlib.ExitStack() as files:
+        yield [("<stdin>", sys.stdin.buffer) if path == "-"
+               else (path, files.enter_context(open(path, "rb")))
+               for path in paths or ["-"]]
+
+
+def _sniffed_lines(name: str, stream, override) -> tuple:
+    """(format, lines) of one input: the format from its first lines, then
+    an iterator over all of its lines."""
+    lines = _read_lines(name, stream)
+    head = list(itertools.islice(lines, parsers.SNIFF_LINES))
+    return _detect(name, head, override), itertools.chain(head, lines)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -72,28 +132,34 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _detect(name: str, text: str, override) -> str:
+def _detect(name: str, source, override) -> str:
     if override:
         return override
-    fmt = parsers.sniff_format(text)
+    fmt = parsers.sniff_format(source)
     if fmt is None:
         raise parsers.ParseError(f"{name}: cannot detect input format; use --format")
     return fmt
 
 
+def _parse_perf(name: str, lines, strict: bool) -> list:
+    """The events of one perf-script input; malformed lines are counted on
+    stderr (or, when strict, raised)."""
+    result = parsers.parse_perf_lines(lines, strict=strict)
+    if result.errors:
+        print(f"{name}: {len(result.errors)} malformed lines skipped", file=sys.stderr)
+    return result.events
+
+
 def _load_events(args) -> list:
     """Parse perf-script inputs into one event list, in input order."""
     events = []
-    for name, text in _read_inputs(args.input):
-        fmt = _detect(name, text, getattr(args, "format", None))
-        if fmt != "perf":
-            raise parsers.ParseError(
-                f"{name}: expected perf-script text, detected {fmt}")
-        result = parsers.parse_perf_script(text, strict=args.strict)
-        if result.errors:
-            print(f"{name}: {len(result.errors)} malformed lines skipped",
-                  file=sys.stderr)
-        events.extend(result.events)
+    with _open_inputs(args.input) as inputs:
+        for name, stream in inputs:
+            fmt, lines = _sniffed_lines(name, stream, getattr(args, "format", None))
+            if fmt != "perf":
+                raise parsers.ParseError(
+                    f"{name}: expected perf-script text, detected {fmt}")
+            events.extend(_parse_perf(name, lines, args.strict))
     return events
 
 
@@ -132,19 +198,19 @@ _RECORD_FORMATS = {
 
 def cmd_parse(args) -> int:
     chunks = []
-    for name, text in _read_inputs(args.input):
-        fmt = _detect(name, text, args.format)
-        if fmt == "perf":
-            result = parsers.parse_perf_script(text, strict=args.strict)
-            if result.errors:
-                print(f"{name}: {len(result.errors)} malformed lines skipped",
-                      file=sys.stderr)
-            chunks.append(export.to_perf_ndjson(result.events))
-        elif fmt in _RECORD_FORMATS:
-            parse, renames = _RECORD_FORMATS[fmt]
-            chunks.append(export.to_records_ndjson(parse(text), renames))
-        else:
-            raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
+    with _open_inputs(args.input) as inputs:
+        for name, stream in inputs:
+            fmt, lines = _sniffed_lines(name, stream, args.format)
+            if fmt == "perf":
+                chunks.append(export.to_perf_ndjson(_parse_perf(name, lines, args.strict)))
+            elif fmt in _RECORD_FORMATS:
+                # the record parsers read only the text's splitlines(),
+                # which gives back exactly these lines
+                parse, renames = _RECORD_FORMATS[fmt]
+                text = "".join(line + "\n" for line in lines)
+                chunks.append(export.to_records_ndjson(parse(text), renames))
+            else:
+                raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
     _write_output("".join(chunks), args.out)
     return 0
 
@@ -415,11 +481,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # a run leaves only a fixed amount of cyclic garbage (argparse's), so
+    # the cyclic collector would only rescan the growing event lists
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _ANALYSIS_ERRORS as exc:
         print(f"latprof: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -120,26 +120,37 @@ def _frame_from_match(m) -> Frame:
 def parse_perf_script(source, strict: bool = False) -> PerfParse:
     """Parse perf-script text into TraceEvents (stacks attached leaf-first).
 
-    In lenient mode (default) lines matching no grammar rule are collected
-    as MalformedLine errors and parsing continues; strict mode raises on
-    the first such line.  Lenient parsing never raises: every line is an
-    event header, a frame, a blank, or a reported error.
-
-    Each distinct frame line, stack and payload text is parsed once per
-    call: events share interned `Frame` objects and stack tuples, and each
-    event gets its own copy of its args dict.
+    `source` is the text, or an iterable of its lines (each line's
+    trailing newline is dropped, as when iterating a text file); see
+    `parse_perf_lines` for the parse itself.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+        return parse_perf_lines(source.splitlines(), strict)
+    return parse_perf_lines((ln.rstrip("\n") for ln in source), strict)
 
+
+def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
+    """Parse perf-script lines, given without line ends, as they come.
+
+    `lines` is any iterable and is read once, front to back, never held
+    whole.  In lenient mode (default) lines matching no grammar rule are
+    collected as MalformedLine errors and parsing continues; strict mode
+    raises on the first such line.  Lenient parsing never raises: every
+    line is an event header, a frame, a blank, or a reported error.
+
+    Each distinct frame line, stack, payload, comm and event name is
+    parsed or stored once per call, and events share them: interned
+    `Frame` objects and stack tuples, one args dict per distinct payload,
+    one string per distinct comm and event name.  Treat shared args dicts
+    as read-only, like the stacks.
+    """
     events = []
     errors = []
     frames = {}  # frame-line text -> Frame
     stacks = {}  # the block's frame-line texts -> stack tuple
-    payloads = {}  # payload text -> args, copied for each event
-    pending = None  # (lineno, header groups, frame-line texts)
+    payloads = {}  # payload text -> args dict, shared by its events
+    names = {}  # comm or event-name text -> the one copy events keep
+    pending = None  # (lineno, header line, header groups, frame-line texts)
 
     def fail(err: MalformedLine):
         if strict:
@@ -150,7 +161,7 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
         nonlocal pending
         if pending is None:
             return
-        lineno, groups, texts = pending
+        lineno, line, groups, texts = pending
         pending = None
         comm, pid, tid, cpu, ts, period, event, payload = groups
         texts = tuple(texts)
@@ -166,19 +177,19 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             pid = int(pid)
             events.append(
                 TraceEvent(
-                    comm=comm,
+                    comm=names.setdefault(comm, comm),
                     pid=pid,
                     tid=int(tid) if tid is not None else pid,
                     cpu=int(cpu),
                     ts=int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
-                    event=event,
-                    args=dict(args),
+                    event=names.setdefault(event, event),
+                    args=args,
                     period=int(period or 1),
                     stack=stack,
                 )
             )
         except ValueError as exc:
-            fail(MalformedLine(lineno, lines[lineno - 1], str(exc)))
+            fail(MalformedLine(lineno, line, str(exc)))
 
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
@@ -190,7 +201,7 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             if m is None:
                 fail(MalformedLine(lineno, line, "unrecognized event header"))
                 continue
-            pending = (lineno, m.groups(), [])
+            pending = (lineno, line, m.groups(), [])
         else:
             if line not in frames:
                 m = _FRAME_RE.match(line)
@@ -201,7 +212,7 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             if pending is None:
                 fail(MalformedLine(lineno, line, "stack frame outside a sample block"))
                 continue
-            pending[2].append(line)
+            pending[3].append(line)
     flush()
     return PerfParse(events=events, errors=errors)
 
@@ -482,30 +493,33 @@ def parse_strace(text: str) -> list:
 # format sniffing (used by the CLI's auto-detection)
 
 
-_SNIFF_LINES = 50
+SNIFF_LINES = 50  # sniff_format reads no further than this many first lines
 _SNIFF_PREFIX_CHARS = 1 << 16
 
 
 def _first_lines(text: str) -> list:
-    """``text.splitlines()[:_SNIFF_LINES]``, splitting only a prefix.
+    """``text.splitlines()[:SNIFF_LINES]``, splitting only a prefix.
 
     When the prefix holds more lines than needed, its first lines ended
     inside it, so they equal the whole text's (a cut through a ``\r\n``
     pair can only touch the prefix's last line); otherwise split it all.
     """
     lines = text[:_SNIFF_PREFIX_CHARS].splitlines()
-    if len(lines) <= _SNIFF_LINES:
+    if len(lines) <= SNIFF_LINES:
         lines = text.splitlines()
-    return lines[:_SNIFF_LINES]
+    return lines[:SNIFF_LINES]
 
 
-def sniff_format(text: str) -> str | None:
+def sniff_format(text) -> str | None:
     """Guess which of the five grammars a file uses from its first lines.
 
-    Returns one of perf/gprof/oprofile/mutrace/strace/acquisitions, or
-    None when nothing matches.
+    `text` is the text, or a list of its lines that holds at least the
+    first SNIFF_LINES of them.  Returns one of
+    perf/gprof/oprofile/mutrace/strace/acquisitions, or None when nothing
+    matches.
     """
-    head = [ln for ln in _first_lines(text) if ln.strip()]
+    lines = _first_lines(text) if isinstance(text, str) else text[:SNIFF_LINES]
+    head = [ln for ln in lines if ln.strip()]
     for line in head[:12]:
         stripped = line.strip()
         if stripped.startswith("Mutex #") or stripped.startswith("mutrace:"):

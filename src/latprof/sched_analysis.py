@@ -76,7 +76,7 @@ class ThreadState(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
+@dataclass(slots=True)
 class TimelineInterval:
     start: int  # ns
     end: int  # ns

@@ -10,6 +10,7 @@ decimal "sec.frac" text exactly at nanosecond resolution at the edges.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 NS_PER_SEC = 10**9
@@ -34,6 +35,13 @@ def classify_event(event_name: str) -> str:
     if token == "cpu-clock":
         return "cpu-clock"
     return "other"
+
+
+@functools.lru_cache(maxsize=1024)
+def _event_parts(event: str) -> tuple:
+    """(class, short name) of a qualified event name.  Cached, so that the
+    events of one name share both strings instead of each holding copies."""
+    return classify_event(event), event.split(":", 1)[-1]
 
 
 def parse_ns(text: str) -> int:
@@ -83,6 +91,9 @@ class TraceEvent:
     derived from it once, at construction.  `stack` is
     leaf-first (innermost frame at index 0), matching perf script print
     order.  `comm` is captured per event because it can change at exec.
+    Events may share their `args` dict and `stack` tuple with other events
+    (the parser shares one per distinct payload and stack); treat both as
+    read-only.
     """
 
     comm: str
@@ -104,8 +115,9 @@ class TraceEvent:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
         if self.ts < 0:
             raise ValueError(f"timestamp must be non-negative, got {self.ts}")
-        object.__setattr__(self, "event_class", classify_event(self.event))
-        object.__setattr__(self, "event_name", self.event.split(":", 1)[-1])
+        event_class, event_name = _event_parts(self.event)
+        object.__setattr__(self, "event_class", event_class)
+        object.__setattr__(self, "event_name", event_name)
 
     def leaf(self) -> Frame | None:
         return self.stack[0] if self.stack else None
@@ -133,7 +145,7 @@ class WaitReason(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitInterval:
     """A per-thread blocked or runnable-delay interval with its wait reason.
 

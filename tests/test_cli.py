@@ -1,8 +1,15 @@
+import gc
+import io
 import json
+import unittest.mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latprof import cli
 from latprof.cli import main
+from latprof.parsers import ParseError
 
 import listings
 
@@ -167,6 +174,83 @@ def test_undecodable_input_names_file_and_line(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["offcpu", "locks"])
+def test_undecodable_stdin_names_line(capsys, monkeypatch, verb):
+    data = (b"tid,lock_id,request_ts,grant_ts,release_ts\n"
+            b"1,1,1.0,1.0,3.0\n"
+            b"\xff1,2,2.0,2.0,2.5\n")  # the bad byte starts line 3
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, verb)
+    assert code == 1
+    assert out == ""
+    assert err == ("latprof: error: <stdin>: line 3: byte 0xff is not UTF-8"
+                   " (invalid start byte)\n")
+
+
+def test_missing_second_input_fails_before_any_output(tmp_path, capsys):
+    # every input is opened before the first is parsed
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text(PERF_TRACE + "\nnot a header\n")
+    missing = tmp_path / "missing.txt"
+    for verb in (["parse"], ["offcpu"], ["report"], ["export", "--format", "csv"]):
+        code, out, err = run(capsys, *verb, "--input", str(malformed),
+                             "--input", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err == ("latprof: error: [Errno 2] No such file or directory:"
+                       f" {str(missing)!r}\n")
+    code, _, err = run(capsys, "offcpu", "--input", str(malformed))
+    assert code == 0 and "1 malformed lines skipped" in err
+
+
+# pieces next to which a block edge is worth putting: every line break
+# str.splitlines knows, and multi-byte characters; then undecodable bytes
+# (an invalid start byte, a lone continuation byte, truncated sequences)
+_READER_TEXT = st.sampled_from(
+    ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+     "\u2028", "\u2029", "a", "bc", "\u00e9", "\u20ac", "\U0001f600"]).map(str.encode)
+_READER_BAD = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
+
+
+def _whole_text_outcome(data: bytes):
+    """What decoding and splitting the whole text gives: its lines, or the
+    error naming the line of the first bad byte."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"x").splitlines())
+        return (f"in: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+                f" ({exc.reason})")
+
+
+def _block_reader_outcome(data: bytes, block_bytes: int):
+    with unittest.mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+        try:
+            return list(cli._read_lines("in", io.BytesIO(data)))
+        except ParseError as err:
+            return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_READER_TEXT, max_size=40),
+       st.lists(st.tuples(st.integers(0, 40), _READER_BAD), max_size=2),
+       st.integers(1, 64))
+def test_block_reader_yields_the_whole_texts_lines(pieces, bad, block_bytes):
+    for at, piece in bad:
+        pieces.insert(at, piece)
+    data = b"".join(pieces)
+    assert _block_reader_outcome(data, block_bytes) == _whole_text_outcome(data)
+
+
+def test_block_reader_edges():
+    cases = [b"", b"\n", b"a", b"a\r\nb", b"a\r", b"\r\n\r\n", b"x\xe2\x82\xac\ny",
+             b"a\nb\r\n" * 50 + b"c\xffd\n", b"\xe2\x80\xa8\n\xc2\x85"]
+    for data in cases:
+        for block_bytes in range(1, 9):
+            assert _block_reader_outcome(data, block_bytes) == \
+                _whole_text_outcome(data), (data, block_bytes)
+
+
 def test_graph_commands(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("a b 3\nb c 4\na c 5\n")
@@ -283,8 +367,7 @@ def test_byte_identical_reruns(trace_file, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(PERF_TRACE))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(PERF_TRACE.encode())))
     code, out, _ = run(capsys, "export", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 7
@@ -390,3 +473,41 @@ def test_each_verb_sorts_events_once(sim_trace, capsys, monkeypatch):
         code, _, _ = run(capsys, *verb, "--input", sim_trace)
         assert code == 0
         assert len(calls) == 1, verb
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_gc_state(trace_file, capsys, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv in (["offcpu", "--input", trace_file], ["offcpu", "--input", "missing"],
+                     ["offcpu", "--no-such-option"]):
+            run(capsys, *argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_offcpu_leaves_cyclic_garbage_of_fixed_size(tmp_path, capsys):
+    # a run creates no reference cycles that grow with the trace, which is
+    # why main can switch the cyclic collector off
+    paths = []
+    for items in (10, 40):
+        path = tmp_path / f"sim{items}.txt"
+        code, _, _ = run(capsys, "simulate", "--producers", "2", "--consumers", "2",
+                         "--items", str(items), "--seed", "3", "--out", str(path))
+        assert code == 0
+        paths.append(str(path))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        counts = []
+        for path in [paths[0]] + paths:  # the first run warms caches
+            gc.collect()
+            code, _, _ = run(capsys, "offcpu", "--input", path)
+            assert code == 0
+            counts.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert counts[1] == counts[2]

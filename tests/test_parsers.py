@@ -134,8 +134,24 @@ def test_perf_script_interns_frames_and_stacks(monkeypatch):
     first, second, sample = parse_perf_script(text).events
     assert first.stack == second.stack and first.stack is second.stack
     assert sample.stack[0] is first.stack[1]
-    assert first.args == second.args and first.args is not second.args
+    assert first.args == second.args and first.args is second.args
     assert sorted(built) == sorted(set(block.splitlines()))
+
+
+def test_perf_script_shares_comm_and_event_names():
+    text = (
+        "app 7/7 [000] 1.0: sched:sched_switch: prev_pid=7 prev_state=S\n\n"
+        "app 7/7 [001] 2.0: sched:sched_switch: prev_pid=7 prev_state=S\n\n"
+        "app 8/8 [000] 3.0: cpu-clock: \n\n"
+        "other 9/9 [000] 4.0: cpu-clock: \n"
+    )
+    first, second, third, fourth = parse_perf_script(text).events
+    assert first.comm is second.comm is third.comm == "app"
+    assert first.event is second.event == "sched:sched_switch"
+    assert first.event_name is second.event_name == "sched_switch"
+    assert first.event_class is second.event_class == "sched"
+    assert third.event is fourth.event == "cpu-clock"
+    assert fourth.comm == "other"
 
 
 def _perf_script_outcome(parse, source, strict):
@@ -224,6 +240,33 @@ def test_perf_script_matches_reference_parser(groups, as_text):
     for strict in (False, True):
         assert _perf_script_outcome(parse_perf_script, source, strict) == \
             _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
+
+
+def test_perf_script_one_shot_iterator_matches_reference_parser():
+    # a streamed source is read once, so a header that fails when its block
+    # ends, lines later, must still be reported with its own text and line.
+    # The reference converts the pid outside its error handling, so the
+    # comparison puts the digit limit in the cpu; the pid case is asserted
+    # directly.
+    def lines(ids, cpu):
+        return ["ok 7/7 [000] 0.5: cpu-clock:", "",
+                f"app {ids} [{cpu}] 1.0: cpu-clock:", "\t400000 main (app)", "",
+                "ok 7/7 [000] 2.0: cpu-clock:"]
+
+    source = lines("8/8", "1" * 5000)
+    for strict in (False, True):
+        assert _perf_script_outcome(parse_perf_script, iter(source), strict) == \
+            _perf_script_outcome(perf_script_reference.parse_perf_script,
+                                 iter(source), strict)
+    for ids in ("1" * 5000, "8/" + "1" * 5000):
+        source = lines(ids, "000")
+        res = parse_perf_script(line + "\n" for line in source)
+        assert [ev.ts for ev in res.events] == [500_000_000, 2_000_000_000]
+        (err,) = res.errors
+        assert (err.lineno, err.line) == (3, source[2]) and "digits" in err.reason
+        with pytest.raises(MalformedLine) as info:
+            parse_perf_script(iter(source), strict=True)
+        assert (info.value.lineno, info.value.line) == (3, source[2])
 
 
 # --- gprof ---
@@ -409,6 +452,17 @@ def test_sniff_formats():
     assert sniff_format("0.000045 read(3) = 0 <0.000011>\n") == "strace"
     assert sniff_format("tid,lock_id,request_ts,grant_ts,release_ts\n") == "acquisitions"
     assert sniff_format("") is None
+
+
+def test_sniff_reads_first_lines_as_it_reads_text():
+    for text in (listings.GPROF_FLAT, listings.MUTRACE, listings.XENOPROF,
+                 listings.PERF_SCRIPT_SWITCH, "0.000045 read(3) = 0 <0.000011>\n",
+                 "tid,lock_id,request_ts,grant_ts,release_ts\n", ""):
+        assert sniff_format(text.splitlines()) == sniff_format(text)
+    # only the first SNIFF_LINES lines count
+    lines = [""] * parsers.SNIFF_LINES + [listings.PERF_SCRIPT_SWITCH]
+    assert sniff_format(lines) is None
+    assert sniff_format(lines[1:]) == "perf"
 
 
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85  "

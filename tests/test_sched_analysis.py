@@ -67,6 +67,16 @@ def test_sleep_wake_run_cycle():
     assert t.intervals[-1].truncated
 
 
+def test_interval_records_have_no_instance_dict():
+    # slotted: long traces hold one interval record per scheduler transition
+    events = [switch(1.0, 7, "S", 0), wakeup(3.0, 7), switch(3.5, 0, "R", 7)]
+    tls = build_timelines(events)
+    waits = attribute_offcpu(tls)
+    assert tls.by_tid[7].intervals and waits
+    for record in tls.by_tid[7].intervals + waits:
+        assert not hasattr(record, "__dict__")
+
+
 def test_unknown_only_timeline():
     events = [
         TraceEvent("app", 5, 5, 0, parse_ns("1.0"), "cpu-clock"),
