@@ -36,11 +36,11 @@ _ANALYSIS_ERRORS = (
 )
 
 
-# perf-script input is read and decoded this many bytes at a time
+# input is read and decoded this many bytes at a time
 _BLOCK_BYTES = 1 << 16
 
 
-def _decode(name: str, data, lines_before: int = 0) -> str:
+def _decode(name: str, data, lines_before: int) -> str:
     """`data` decoded as UTF-8; bytes that are not UTF-8 are a ParseError
     naming the line of the first bad one, `lines_before` lines counted
     before `data`."""
@@ -52,29 +52,6 @@ def _decode(name: str, data, lines_before: int = 0) -> str:
         raise parsers.ParseError(
             f"{name}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
             f" ({exc.reason})") from None
-
-
-def _read_text(path: str) -> str:
-    """The UTF-8 text of a file; a file that is not UTF-8 is a ParseError
-    naming the line of its first bad byte."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            _decode(path, handle.read())
-        raise
-
-
-def _read_inputs(paths) -> list:
-    """Read each input path ('-' is stdin) as (name, text)."""
-    texts = []
-    for path in paths or ["-"]:
-        if path == "-":
-            texts.append(("<stdin>", _decode("<stdin>", sys.stdin.buffer.read())))
-        else:
-            texts.append((path, _read_text(path)))
-    return texts
 
 
 def _read_lines(name: str, stream):
@@ -122,6 +99,12 @@ def _sniffed_lines(name: str, stream, override) -> tuple:
     lines = _read_lines(name, stream)
     head = list(itertools.islice(lines, parsers.SNIFF_LINES))
     return _detect(name, head, override), itertools.chain(head, lines)
+
+
+def _text(lines) -> str:
+    """The lines, each ended by "\\n": a text whose `splitlines()`, which
+    is all the whole-text parsers read, gives back exactly these lines."""
+    return "".join(line + "\n" for line in lines)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -204,11 +187,8 @@ def cmd_parse(args) -> int:
             if fmt == "perf":
                 chunks.append(export.to_perf_ndjson(_parse_perf(name, lines, args.strict)))
             elif fmt in _RECORD_FORMATS:
-                # the record parsers read only the text's splitlines(),
-                # which gives back exactly these lines
                 parse, renames = _RECORD_FORMATS[fmt]
-                text = "".join(line + "\n" for line in lines)
-                chunks.append(export.to_records_ndjson(parse(text), renames))
+                chunks.append(export.to_records_ndjson(parse(_text(lines)), renames))
             else:
                 raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
     _write_output("".join(chunks), args.out)
@@ -242,26 +222,28 @@ def cmd_offcpu(args) -> int:
 
 def cmd_locks(args) -> int:
     lines = []
-    for name, text in _read_inputs(args.input):
-        fmt = _detect(name, text, args.format)
-        if fmt == "mutrace":
-            lines.extend(export.render_lock_table(parsers.parse_mutrace(text)))
-        elif fmt == "acquisitions":
-            acqs = lock_analysis.read_acquisitions_csv(text)
-            stats = lock_analysis.contention_stats(acqs)
-            graph = lock_analysis.build_lock_order_graph(acqs)
-            cycles = lock_analysis.detect_deadlock_risk(graph, max_len=args.max_len)
-            lines.extend(export.render_lock_table(stats))
-            lines.append("")
-            lines.append("=== Lock-order cycles (deadlock risk) ===")
-            if cycles:
-                for cycle in cycles:
-                    lines.append(" -> ".join(str(n) for n in cycle + [cycle[0]]))
+    with _open_inputs(args.input) as inputs:
+        for name, stream in inputs:
+            fmt, source = _sniffed_lines(name, stream, args.format)
+            text = _text(source)
+            if fmt == "mutrace":
+                lines.extend(export.render_lock_table(parsers.parse_mutrace(text)))
+            elif fmt == "acquisitions":
+                acqs = lock_analysis.read_acquisitions_csv(text)
+                stats = lock_analysis.contention_stats(acqs)
+                graph = lock_analysis.build_lock_order_graph(acqs)
+                cycles = lock_analysis.detect_deadlock_risk(graph, max_len=args.max_len)
+                lines.extend(export.render_lock_table(stats))
+                lines.append("")
+                lines.append("=== Lock-order cycles (deadlock risk) ===")
+                if cycles:
+                    for cycle in cycles:
+                        lines.append(" -> ".join(str(n) for n in cycle + [cycle[0]]))
+                else:
+                    lines.append("(none detected)")
             else:
-                lines.append("(none detected)")
-        else:
-            raise parsers.ParseError(
-                f"{name}: locks needs mutrace text or an acquisitions CSV, got {fmt}")
+                raise parsers.ParseError(
+                    f"{name}: locks needs mutrace text or an acquisitions CSV, got {fmt}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -270,7 +252,8 @@ def cmd_graph(args) -> int:
     if args.input and len(args.input) > 1:
         print("latprof graph: error: graph takes one --input", file=sys.stderr)
         return 2
-    ((name, text),) = _read_inputs(args.input)
+    with _open_inputs(args.input) as ((name, stream),):
+        text = _text(_read_lines(name, stream))
     graph = Graph.parse_edge_list(text, directed=not args.undirected)
     lines = []
     if args.critical_path is not None:

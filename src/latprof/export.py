@@ -205,24 +205,17 @@ def events_per_second(events, bin_width=1) -> HistogramView:
 
 @dataclass
 class PieView:
-    """Utilization fractions per comm (or per comm+dso); fractions sum to 1."""
+    """Utilization fractions per comm; fractions sum to 1."""
 
     slices: dict = field(default_factory=dict)
 
 
-def utilization_pie(events, key_mode: str = "comm") -> PieView:
-    """Fractions of event count (period weight for samples) per key."""
-    if key_mode not in ("comm", "comm_dso"):
-        raise ValueError(f"unknown key mode {key_mode!r}")
+def utilization_pie(events) -> PieView:
+    """Fractions of event count (period weight for samples) per comm."""
     weights: dict = {}
     for ev in events:
-        if key_mode == "comm":
-            key = ev.comm
-        else:
-            leaf = ev.leaf()
-            key = (ev.comm, (leaf.dso or "") if leaf else "")
         weight = ev.period if ev.event_class == "cpu-clock" else 1
-        weights[key] = weights.get(key, 0) + weight
+        weights[ev.comm] = weights.get(ev.comm, 0) + weight
     if not weights:
         raise EmptyInput("no events to summarize")
     total = sum(weights.values())
@@ -362,8 +355,7 @@ def to_report_json(profile=None, wait_summary=None,
         }
     if pie is not None:
         doc["utilization"] = [
-            {"key": key if isinstance(key, str) else "/".join(key),
-             "fraction": float(fraction)}
+            {"key": key, "fraction": float(fraction)}
             for key, fraction in pie.slices.items()
         ]
     return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=True) + "\n"

@@ -494,32 +494,17 @@ def parse_strace(text: str) -> list:
 
 
 SNIFF_LINES = 50  # sniff_format reads no further than this many first lines
-_SNIFF_PREFIX_CHARS = 1 << 16
 
 
-def _first_lines(text: str) -> list:
-    """``text.splitlines()[:SNIFF_LINES]``, splitting only a prefix.
+def sniff_format(lines: list) -> str | None:
+    """Guess which of the five grammars an input uses from its first lines.
 
-    When the prefix holds more lines than needed, its first lines ended
-    inside it, so they equal the whole text's (a cut through a ``\r\n``
-    pair can only touch the prefix's last line); otherwise split it all.
+    `lines` is a list of the input's lines, without line ends, holding at
+    least its first SNIFF_LINES lines (or all of them); later lines are
+    ignored.  Returns one of perf/gprof/oprofile/mutrace/strace/acquisitions,
+    or None when nothing matches.
     """
-    lines = text[:_SNIFF_PREFIX_CHARS].splitlines()
-    if len(lines) <= SNIFF_LINES:
-        lines = text.splitlines()
-    return lines[:SNIFF_LINES]
-
-
-def sniff_format(text) -> str | None:
-    """Guess which of the five grammars a file uses from its first lines.
-
-    `text` is the text, or a list of its lines that holds at least the
-    first SNIFF_LINES of them.  Returns one of
-    perf/gprof/oprofile/mutrace/strace/acquisitions, or None when nothing
-    matches.
-    """
-    lines = _first_lines(text) if isinstance(text, str) else text[:SNIFF_LINES]
-    head = [ln for ln in lines if ln.strip()]
+    head = [ln for ln in lines[:SNIFF_LINES] if ln.strip()]
     for line in head[:12]:
         stripped = line.strip()
         if stripped.startswith("Mutex #") or stripped.startswith("mutrace:"):

@@ -77,35 +77,6 @@ def flat_profile(events, group_by=("comm", "dso", "symbol")):
     return rows
 
 
-def merge_flat_profiles(*profiles):
-    """Associative merge: weights add per key, percents are recomputed."""
-    counts = {}
-    weights = {}
-    for rows in profiles:
-        for r in rows:
-            key = (r.comm, r.dso, r.symbol)
-            counts[key] = counts.get(key, 0) + r.samples
-            weights[key] = weights.get(key, 0) + r.weight
-    if not counts:
-        raise NoSamples("nothing to merge")
-    total = sum(weights.values())
-    rows = [
-        FlatProfileRow(comm=c, dso=d, symbol=s,
-                       samples=counts[(c, d, s)], weight=weights[(c, d, s)],
-                       percent=Fraction(100 * weights[(c, d, s)], total))
-        for (c, d, s) in counts
-    ]
-    rows.sort(key=lambda r: (-r.percent, r.key))
-    return rows
-
-
-def top_n(rows, n: int):
-    """First n rows of an already-sorted profile."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return list(rows[:n])
-
-
 @dataclass
 class CallGraph:
     """Weighted caller->callee edges with inclusive/exclusive node weights."""

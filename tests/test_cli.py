@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -160,13 +161,40 @@ def test_locks_acquisitions_error_names_physical_line(tmp_path, capsys):
     assert "line 5: acquisition times must satisfy" in err
 
 
-@pytest.mark.parametrize("verb", ["offcpu", "locks"])
+_CYCLIC_ACQUISITIONS = ["tid,lock_id,request_ts,grant_ts,release_ts",
+                        "1,1,1.0,1.0,3.0", "1,2,2.0,2.0,2.5",
+                        "2,2,4.0,4.0,6.0", "2,1,5.0,5.0,5.5"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("verb, lines", [
+    (["locks"], _CYCLIC_ACQUISITIONS),
+    (["graph", "--cycles"], ["a b 1", "b c 2", "c a 3"]),
+], ids=["locks", "graph"])
+def test_file_and_stdin_read_the_same_for_every_line_break(
+        tmp_path, capsys, monkeypatch, verb, lines, newline):
+    data = (newline.join(lines) + newline).encode()
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    from_file = run(capsys, *verb, "--input", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    from_stdin = run(capsys, *verb)
+    assert from_file == from_stdin
+    assert from_file[0] == 0 and " -> " in from_file[1]
+
+
+# each verb that reads input, with the options it needs to run
+_READING_VERBS = {"offcpu": ["offcpu"], "locks": ["locks"],
+                  "graph": ["graph", "--cycles"], "parse": ["parse"]}
+
+
+@pytest.mark.parametrize("verb", _READING_VERBS)
 def test_undecodable_input_names_file_and_line(tmp_path, capsys, verb):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"tid,lock_id,request_ts,grant_ts,release_ts\n"
                      b"1,1,1.0,1.0,3.0\n"
                      b"\xff1,2,2.0,2.0,2.5\n")  # the bad byte starts line 3
-    code, out, err = run(capsys, verb, "--input", str(path))
+    code, out, err = run(capsys, *_READING_VERBS[verb], "--input", str(path))
     assert code == 1
     assert out == ""
     assert err == (f"latprof: error: {path}: line 3: byte 0xff is not UTF-8"
@@ -174,13 +202,13 @@ def test_undecodable_input_names_file_and_line(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("verb", ["offcpu", "locks"])
+@pytest.mark.parametrize("verb", _READING_VERBS)
 def test_undecodable_stdin_names_line(capsys, monkeypatch, verb):
     data = (b"tid,lock_id,request_ts,grant_ts,release_ts\n"
             b"1,1,1.0,1.0,3.0\n"
             b"\xff1,2,2.0,2.0,2.5\n")  # the bad byte starts line 3
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
-    code, out, err = run(capsys, verb)
+    code, out, err = run(capsys, *_READING_VERBS[verb])
     assert code == 1
     assert out == ""
     assert err == ("latprof: error: <stdin>: line 3: byte 0xff is not UTF-8"
@@ -192,7 +220,8 @@ def test_missing_second_input_fails_before_any_output(tmp_path, capsys):
     malformed = tmp_path / "malformed.txt"
     malformed.write_text(PERF_TRACE + "\nnot a header\n")
     missing = tmp_path / "missing.txt"
-    for verb in (["parse"], ["offcpu"], ["report"], ["export", "--format", "csv"]):
+    for verb in (["parse"], ["offcpu"], ["report"], ["export", "--format", "csv"],
+                 ["locks"]):
         code, out, err = run(capsys, *verb, "--input", str(malformed),
                              "--input", str(missing))
         assert code == 1
@@ -249,6 +278,42 @@ def test_block_reader_edges():
         for block_bytes in range(1, 9):
             assert _block_reader_outcome(data, block_bytes) == \
                 _whole_text_outcome(data), (data, block_bytes)
+
+
+# seeds in each grammar a reading verb accepts, and tokens worth splicing
+# into them, for the fuzz test below
+_FUZZ_SEEDS = [PERF_TRACE.encode(), "\n".join(_CYCLIC_ACQUISITIONS).encode(),
+               listings.MUTRACE.encode(), b"a b 1\nb c 2\nc a 3\n"]
+_FUZZ_TOKENS = st.sampled_from([b"\n", b"\r", b" ", b",", b":", b"/", b".", b"=",
+                                b"#", b"-1", b"0", b"9" * 30, b"\xff", b"\xc3"])
+_FUZZ_ARGV = [["parse"], ["report"], ["offcpu"], ["locks"], ["graph", "--cycles"],
+              ["graph", "--undirected", "--mst"], ["export", "--format", "csv"],
+              ["export", "--format", "bulk"], ["export", "--format", "json"]]
+
+
+@st.composite
+def _mutated_seed(draw):
+    """A seed input with a few short runs of bytes replaced, cut or added,
+    and perhaps truncated."""
+    data = bytearray(draw(st.sampled_from(_FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 3))] = draw(
+            st.one_of(st.binary(max_size=3), _FUZZ_TOKENS))
+    if draw(st.booleans()):
+        del data[draw(st.sampled_from(range(len(data) + 1))):]
+    return bytes(data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated_seed()))
+def test_every_reading_verb_maps_any_stdin_to_exit_0_or_1(data):
+    for argv in _FUZZ_ARGV:
+        with unittest.mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data))), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1), (argv, data)
 
 
 def test_graph_commands(tmp_path, capsys):

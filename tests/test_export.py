@@ -249,15 +249,6 @@ def test_pie_single_key():
     assert utilization_pie([ev()]).slices == {"gzip": 1}
 
 
-def test_pie_comm_dso_mode():
-    events = [
-        ev(stack=(Frame(symbol="a", dso="libz.so"),)),
-        ev(stack=(Frame(symbol="b", dso="libc.so"),)),
-    ]
-    pie = utilization_pie(events, key_mode="comm_dso")
-    assert set(pie.slices) == {("gzip", "libz.so"), ("gzip", "libc.so")}
-
-
 def test_pie_normalization_randomized():
     rng = random.Random(83)
     for _ in range(200):

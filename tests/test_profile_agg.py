@@ -8,8 +8,6 @@ from latprof.profile_agg import (
     build_call_graph,
     build_dynamic_call_tree,
     flat_profile,
-    merge_flat_profiles,
-    top_n,
 )
 from latprof.trace_model import Frame, TraceEvent
 
@@ -92,23 +90,6 @@ def test_percent_normalization_randomized():
             assert sum(r.percent for r in rows) == 100
 
 
-def test_merge_matches_combined():
-    rng = random.Random(9)
-    a = [sample(rng.choice("ab"), "d", rng.choice("xy")) for _ in range(20)]
-    b = [sample(rng.choice("ab"), "d", rng.choice("xy")) for _ in range(30)]
-    merged = merge_flat_profiles(flat_profile(a), flat_profile(b))
-    combined = flat_profile(a + b)
-    assert [(r.key, r.weight, r.percent) for r in merged] == \
-        [(r.key, r.weight, r.percent) for r in combined]
-
-
-def test_top_n():
-    rows = flat_profile(FOUR_SAMPLES, group_by=("comm",))
-    assert top_n(rows, 0) == []
-    assert top_n(rows, 99) == rows
-    assert [r.comm for r in top_n(rows, 1)] == ["gzip"]
-
-
 def test_top_n_published_listing_order():
     # the published percent column (19 rows, summing to 100.00) recast as
     # period weights out of 10000; top three must print 29.88/17.53/10.09
@@ -118,7 +99,7 @@ def test_top_n_published_listing_order():
     events = [sample("app", "dso", f"sym{i:02d}", period=w)
               for i, w in enumerate(weights)]
     rows = flat_profile(events, group_by=("symbol",))
-    top = top_n(rows, 3)
+    top = rows[:3]
     assert [f"{float(r.percent):.2f}" for r in top] == ["29.88", "17.53", "10.09"]
     assert sum(r.percent for r in rows) == 100
 
