@@ -1,3 +1,4 @@
+import io
 import unittest.mock
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latprof import parsers
+from latprof import cli, parsers
 from latprof.parsers import (
     MalformedLine,
     MalformedRow,
@@ -456,6 +457,24 @@ def test_sniff_formats():
     lines = [""] * parsers.SNIFF_LINES + listings.PERF_SCRIPT_SWITCH.splitlines()
     assert sniff_format(lines) is None
     assert sniff_format(lines[1:]) == "perf"
+
+
+def test_sniff_reads_first_lines_as_it_reads_text():
+    # an input file is sniffed from the first lines its reader yields: the
+    # same format as sniffing the whole text's lines, and all lines given back
+    for text in (listings.GPROF_FLAT, listings.MUTRACE, listings.XENOPROF,
+                 listings.PERF_SCRIPT_SWITCH, "0.000045 read(3) = 0 <0.000011>\n",
+                 "tid,lock_id,request_ts,grant_ts,release_ts\n",
+                 "\n" * parsers.SNIFF_LINES + listings.PERF_SCRIPT_SWITCH, ""):
+        expected = sniff_format(text.splitlines())
+        stream = io.BytesIO(text.encode("utf-8"))
+        if expected is None:
+            with pytest.raises(parsers.ParseError, match="cannot detect"):
+                cli._sniffed_lines("in", stream, None)
+        else:
+            fmt, lines = cli._sniffed_lines("in", stream, None)
+            assert fmt == expected
+            assert list(lines) == text.splitlines()
 
 
 @pytest.mark.parametrize("ids", ["1" * 5000, "1/" + "1" * 5000, "1" * 5000 + "/1"],
