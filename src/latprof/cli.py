@@ -47,8 +47,7 @@ def _decode(name: str, data, lines_before: int) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # bytes.splitlines breaks lines as text-mode reading does
-        line = lines_before + len((data[:exc.start] + b"x").splitlines())
+        line = lines_before + len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise parsers.ParseError(
             f"{name}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
             f" ({exc.reason})") from None
@@ -63,7 +62,7 @@ def _read_lines(name: str, stream):
     and the whole text is never held.  A bad byte raises `_decode`'s
     ParseError with the same line number as decoding the whole text.
     """
-    lines_before = 0  # line breaks, as bytes.splitlines counts them, in earlier blocks
+    lines_before = 0  # lines yielded from earlier blocks
     rest = bytearray()
     while True:
         chunk = stream.read(_BLOCK_BYTES)
@@ -76,11 +75,11 @@ def _read_lines(name: str, stream):
             cut = len(rest)
         block = rest[:cut]
         del rest[:cut]
-        yield from _decode(name, block, lines_before).splitlines()
+        lines = _decode(name, block, lines_before).splitlines()
+        yield from lines
         if not chunk:
             return
-        # the block ends in "\n", so no \r\n pair straddles its end
-        lines_before += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+        lines_before += len(lines)
 
 
 @contextlib.contextmanager
@@ -157,12 +156,15 @@ def _analysis_config(args) -> sched_analysis.AnalysisConfig:
                                          lookback_ns=lookback)
 
 
-def _wait_summary(args, events):
-    """The off-CPU wait summary, or None when the trace has no sched events."""
-    if not any(ev.event_class == "sched" for ev in events):
-        return None
+def _offcpu_waits(args, events) -> tuple:
+    """(wait summary, tid -> comm) of the events' scheduler timelines; the
+    contradictory transitions the walk ignored are counted on stderr."""
     timelines = sched_analysis.build_timelines(events, _analysis_config(args))
-    return sched_analysis.summarize_waits(sched_analysis.attribute_offcpu(timelines))
+    if timelines.anomalies:
+        print(f"{timelines.anomalies} contradictory scheduler transitions ignored",
+              file=sys.stderr)
+    summary = sched_analysis.summarize_waits(sched_analysis.attribute_offcpu(timelines))
+    return summary, {tid: timeline.comm for tid, timeline in timelines.by_tid.items()}
 
 
 # --- subcommands ---
@@ -202,20 +204,13 @@ def cmd_report(args) -> int:
         profile = profile_agg.flat_profile(events, group_by=group_by)
     except profile_agg.NoSamples:
         profile = []
-    _write_output(export.render_text_report(profile, _wait_summary(args, events),
-                                            top_n=args.top), args.out)
+    summary, _ = _offcpu_waits(args, events)
+    _write_output(export.render_text_report(profile, summary, top_n=args.top), args.out)
     return 0
 
 
 def cmd_offcpu(args) -> int:
-    events = _load_events(args)
-    timelines = sched_analysis.build_timelines(events, _analysis_config(args))
-    summary = sched_analysis.summarize_waits(
-        sched_analysis.attribute_offcpu(timelines))
-    comms = {tid: timeline.comm for tid, timeline in timelines.by_tid.items()}
-    if timelines.anomalies:
-        print(f"{timelines.anomalies} contradictory scheduler transitions ignored",
-              file=sys.stderr)
+    summary, comms = _offcpu_waits(args, _load_events(args))
     _write_output(export.render_offcpu_report(summary, comms, args.top), args.out)
     return 0
 
@@ -341,8 +336,10 @@ def cmd_export(args) -> int:
             profile = []
         histogram = export.events_per_second(events, args.bin_width) if events else None
         pie = export.utilization_pie(events) if events else None
-        _write_output(export.to_report_json(profile, _wait_summary(args, events),
-                                            histogram, pie), args.out)
+        summary = None  # no sched events: no wait sections
+        if any(ev.event_class == "sched" for ev in events):
+            summary, _ = _offcpu_waits(args, events)
+        _write_output(export.to_report_json(profile, summary, histogram, pie), args.out)
     return 0
 
 

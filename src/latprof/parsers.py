@@ -54,14 +54,8 @@ class MalformedLine(ParseError):
         self.reason = reason
 
 
-class MalformedRow(ParseError):
+class MalformedRow(MalformedLine):
     """A data row that does not fit the table grammar."""
-
-    def __init__(self, lineno: int, line: str, reason: str):
-        super().__init__(f"line {lineno}: {reason}: {line!r}")
-        self.lineno = lineno
-        self.line = line
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +111,10 @@ def _frame_from_match(m) -> Frame:
     )
 
 
-def parse_perf_script(source, strict: bool = False) -> PerfParse:
-    """Parse perf-script text into TraceEvents (stacks attached leaf-first).
-
-    `source` is the text, or an iterable of its lines (each line's
-    trailing newline is dropped, as when iterating a text file); see
-    `parse_perf_lines` for the parse itself.
-    """
-    if isinstance(source, str):
-        return parse_perf_lines(source.splitlines(), strict)
-    return parse_perf_lines((ln.rstrip("\n") for ln in source), strict)
+def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
+    """Parse perf-script text into TraceEvents (stacks attached leaf-first);
+    see `parse_perf_lines` for the parse itself."""
+    return parse_perf_lines(text.splitlines(), strict)
 
 
 def parse_perf_lines(lines, strict: bool = False) -> PerfParse:

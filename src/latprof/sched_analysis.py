@@ -120,13 +120,8 @@ def _kind_rank(event) -> int:
 
 def canonical_sort(events) -> list:
     """The documented deterministic event order shared by all analyses."""
-    return [
-        ev
-        for _, _, _, _, _, ev in sorted(
-            (ev.ts, _kind_rank(ev), ev.cpu, ev.event, i, ev)
-            for i, ev in enumerate(events)
-        )
-    ]
+    # sorted() is stable: remaining ties keep input order
+    return sorted(events, key=lambda ev: (ev.ts, _kind_rank(ev), ev.cpu, ev.event))
 
 
 def _int_arg(event, key) -> int | None:
@@ -135,40 +130,33 @@ def _int_arg(event, key) -> int | None:
 
 
 class _ThreadMachine:
+    """One tid's state during the walk: its open interval, and the context
+    that classifies its next wait (the syscall it is in, and when it last
+    had a block and a network event)."""
+
     def __init__(self, tid: int, origin: int):
         self.timeline = ThreadTimeline(tid=tid)
         self.state = ThreadState.UNKNOWN
         self.since = origin
         self.stack = ()
         self.reason = None
+        self.syscall = None
+        self.block_ns = None
+        self.net_ns = None
+
+    def close(self, end: int, truncated: bool = False):
+        self.timeline.intervals.append(
+            TimelineInterval(start=self.since, end=end, state=self.state,
+                             stack=self.stack, reason=self.reason,
+                             truncated=truncated))
 
     def transition(self, ts, new_state, stack=(), reason=None):
         if ts > self.since or self.state is not ThreadState.UNKNOWN:
-            self.timeline.intervals.append(
-                TimelineInterval(
-                    start=self.since,
-                    end=ts,
-                    state=self.state,
-                    stack=self.stack,
-                    reason=self.reason,
-                )
-            )
+            self.close(ts)
         self.state = new_state
         self.since = ts
         self.stack = stack
         self.reason = reason
-
-    def finish(self, end: int):
-        self.timeline.intervals.append(
-            TimelineInterval(
-                start=self.since,
-                end=end,
-                state=self.state,
-                stack=self.stack,
-                reason=self.reason,
-                truncated=True,
-            )
-        )
 
 
 def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
@@ -192,38 +180,31 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
     result.origin = origin
     result.end = end
 
-    machines: dict[int, _ThreadMachine] = {}
-    pending_syscall: dict[int, str | None] = {}
-    last_block_ns: dict[int, int] = {}
-    last_net_ns: dict[int, int] = {}
+    threads: dict[int, _ThreadMachine] = {}
 
-    def machine(tid: int) -> _ThreadMachine:
-        if tid not in machines:
-            machines[tid] = _ThreadMachine(tid, origin)
-        return machines[tid]
-
-    def note_comm(tid, comm):
+    def thread(tid: int, comm: str) -> _ThreadMachine:
+        """tid's record, made on first sight; a non-empty comm is kept."""
+        t = threads.get(tid)
+        if t is None:
+            t = threads[tid] = _ThreadMachine(tid, origin)
         if comm:
-            machine(tid).timeline.comm = comm
-
-    def recent(last_ns, tid, ts_ns) -> bool:
-        seen = last_ns.get(tid)
-        return seen is not None and seen >= ts_ns - config.lookback_ns
+            t.timeline.comm = comm
+        return t
 
     for ev in ordered:
-        if ev.tid > 0:
-            note_comm(ev.tid, ev.comm)
         cls = ev.event_class
-        if cls == "syscalls":
-            name = ev.event_name
-            if name.startswith("sys_enter_"):
-                pending_syscall[ev.tid] = name[len("sys_enter_"):]
-            elif name.startswith("sys_exit_"):
-                pending_syscall[ev.tid] = None
-        elif cls == "block":
-            last_block_ns[ev.tid] = ev.ts
-        elif cls in ("net", "sock", "skb"):
-            last_net_ns[ev.tid] = ev.ts
+        if ev.tid > 0:
+            t = thread(ev.tid, ev.comm)
+            if cls == "syscalls":
+                name = ev.event_name
+                if name.startswith("sys_enter_"):
+                    t.syscall = name[len("sys_enter_"):]
+                elif name.startswith("sys_exit_"):
+                    t.syscall = None
+            elif cls == "block":
+                t.block_ns = ev.ts
+            elif cls in ("net", "sock", "skb"):
+                t.net_ns = ev.ts
         if cls != "sched":
             continue
         name = ev.event_name
@@ -231,50 +212,48 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
             prev = _int_arg(ev, "prev_pid")
             nxt = _int_arg(ev, "next_pid")
             if prev is not None and prev > 0:
-                note_comm(prev, ev.args.get("prev_comm", ""))
-                m = machine(prev)
-                if m.state in (ThreadState.RUNNING, ThreadState.UNKNOWN):
+                t = thread(prev, ev.args.get("prev_comm", ""))
+                if t.state in (ThreadState.RUNNING, ThreadState.UNKNOWN):
                     prev_state = ev.args.get("prev_state")
                     token = (prev_state or "").rstrip("+")
                     if token == "R":
-                        m.transition(ev.ts, ThreadState.RUNNABLE, stack=ev.stack,
+                        t.transition(ev.ts, ThreadState.RUNNABLE, stack=ev.stack,
                                      reason=WaitReason.SCHEDULER_DELAY)
                     else:
                         if token not in _SLEEP_TOKENS:
                             result.anomalies += 1
+                        window = ev.ts - config.lookback_ns
                         reason = classify_wait(
                             prev_state,
                             ev.stack,
-                            pending_syscall.get(prev),
-                            recent(last_block_ns, prev, ev.ts),
-                            recent(last_net_ns, prev, ev.ts),
+                            t.syscall,
+                            t.block_ns is not None and t.block_ns >= window,
+                            t.net_ns is not None and t.net_ns >= window,
                             config.lock_symbols,
                         )
-                        m.transition(ev.ts, ThreadState.SLEEPING, stack=ev.stack,
+                        t.transition(ev.ts, ThreadState.SLEEPING, stack=ev.stack,
                                      reason=reason)
                 else:
                     result.anomalies += 1
             if nxt is not None and nxt > 0:
-                note_comm(nxt, ev.args.get("next_comm", ""))
-                m = machine(nxt)
-                if m.state in (ThreadState.RUNNABLE, ThreadState.UNKNOWN):
-                    m.transition(ev.ts, ThreadState.RUNNING)
+                t = thread(nxt, ev.args.get("next_comm", ""))
+                if t.state in (ThreadState.RUNNABLE, ThreadState.UNKNOWN):
+                    t.transition(ev.ts, ThreadState.RUNNING)
                 else:
                     result.anomalies += 1
         elif name.startswith("sched_wakeup") or name == "sched_waking":
             pid = _int_arg(ev, "pid")
             if pid is not None and pid > 0:
-                note_comm(pid, ev.args.get("comm", ""))
-                m = machine(pid)
-                if m.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
-                    m.transition(ev.ts, ThreadState.RUNNABLE,
+                t = thread(pid, ev.args.get("comm", ""))
+                if t.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
+                    t.transition(ev.ts, ThreadState.RUNNABLE,
                                  reason=WaitReason.SCHEDULER_DELAY)
                 else:
                     result.anomalies += 1
 
-    for tid, m in machines.items():
-        m.finish(end)
-        result.by_tid[tid] = m.timeline
+    for tid, t in threads.items():
+        t.close(end, truncated=True)
+        result.by_tid[tid] = t.timeline
     return result
 
 

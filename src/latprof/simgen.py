@@ -36,7 +36,6 @@ from functools import cached_property
 
 from .lock_analysis import LockAcquisition
 from .sched_analysis import (
-    AnalysisConfig,
     attribute_offcpu,
     build_timelines,
     summarize_waits,
@@ -45,6 +44,7 @@ from .trace_model import Frame, TraceEvent, WaitKind
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+MAX_SIM_NS = 3_600_000_000_000  # a run stops, timed out, past this virtual time
 
 
 class ConfigError(ValueError):
@@ -81,7 +81,6 @@ class SimConfig:
     seed: int = 0
     jitter: float = 0.0
     inverted_wait_order: bool = False
-    max_sim_ns: int = 3_600_000_000_000
 
     def validate(self) -> None:
         if self.producers < 1 or self.consumers < 1:
@@ -153,7 +152,6 @@ class SimResult:
     `LockAcquisition` list on first read.
     """
 
-    config: SimConfig
     events: list
     truth: GroundTruth
     acquisition_rows: list
@@ -426,7 +424,7 @@ class _Simulator:
 
         while self.heap:
             now, tid, _ = heapq.heappop(self.heap)
-            if now > self.cfg.max_sim_ns:
+            if now > MAX_SIM_NS:
                 self.truth.timed_out = True
                 break
             self.clock = max(self.clock, now)
@@ -464,7 +462,6 @@ class _Simulator:
         # same-instant grants in program order and the rest never decides
         self._rows.sort()
         return SimResult(
-            config=self.cfg,
             events=[ev for ev in self.events if ev is not None],
             truth=self.truth,
             acquisition_rows=self._rows,
@@ -511,14 +508,14 @@ def _sem_from_stack(stack) -> str | None:
     return None
 
 
-def replay_check(events, truth: GroundTruth, config: AnalysisConfig = None) -> ReplayReport:
+def replay_check(events, truth: GroundTruth) -> ReplayReport:
     """Run the scheduler analysis over simulated events and diff the ledger.
 
     Discrepancies are report content, not faults; intervals cut off by a
     truncated event stream are flagged as "truncation" rather than
     "mismatch".
     """
-    timelines = build_timelines(events, config)
+    timelines = build_timelines(events)
     waits = attribute_offcpu(timelines)
     summary = summarize_waits(waits)
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import unittest.mock
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from latprof import cli
 from latprof.cli import main
+from latprof.export import render_perf_script
 from latprof.parsers import ParseError
+from latprof.simgen import simulate
 
 import listings
+from test_simgen import GOLDEN_RUNS, small_cfg
 
 PERF_TRACE = (
     "gzip 100/100 [000] 10.000000: cpu-clock: \n"
@@ -247,7 +251,7 @@ def _whole_text_outcome(data: bytes):
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start] + b"x").splitlines())
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         return (f"in: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
                 f" ({exc.reason})")
 
@@ -273,11 +277,15 @@ def test_block_reader_yields_the_whole_texts_lines(pieces, bad, block_bytes):
 
 def test_block_reader_edges():
     cases = [b"", b"\n", b"a", b"a\r\nb", b"a\r", b"\r\n\r\n", b"x\xe2\x82\xac\ny",
-             b"a\nb\r\n" * 50 + b"c\xffd\n", b"\xe2\x80\xa8\n\xc2\x85"]
+             b"a\nb\r\n" * 50 + b"c\xffd\n", b"\xe2\x80\xa8\n\xc2\x85",
+             b"a b 1\x0cb c 2\n\xff\n", b"a\xc2\x85b\n\xff", b"a\xe2\x80\xa8b\n\xff"]
     for data in cases:
         for block_bytes in range(1, 9):
             assert _block_reader_outcome(data, block_bytes) == \
                 _whole_text_outcome(data), (data, block_bytes)
+    # the bad byte is on the third line str.splitlines counts
+    assert _block_reader_outcome(b"a b 1\x0cb c 2\n\xff\n", 4) == \
+        "in: line 3: byte 0xff is not UTF-8 (invalid start byte)"
 
 
 # seeds in each grammar a reading verb accepts, and tokens worth splicing
@@ -576,3 +584,155 @@ def test_offcpu_leaves_cyclic_garbage_of_fixed_size(tmp_path, capsys):
         if was:
             gc.enable()
     assert counts[1] == counts[2]
+
+
+# Two inputs of one trace, each out of time order in places.  They hold a
+# BlockIO (block event), a Network (syscall, then net event), a Timer and
+# a Lock wait, an R+ preemption, same-instant wakeup/switch groups split
+# across the inputs, a tid first seen mid-trace (60), one wakeup of a
+# running thread (50 at 1.006) and a cpu-clock sample with a stack.
+TWO_INPUT_TRACE = (
+    "db 10/10 [000] 1.000100: block:block_rq_issue: dev=8,0 sector=64\n"
+    "\n"
+    "db 10/10 [000] 1.000200: sched:sched_switch: prev_comm=db prev_pid=10 "
+    "prev_prio=120 prev_state=S ==> next_comm=swapper/0 next_pid=0 next_prio=120\n"
+    "\tffffffff81000010 io_schedule ([kernel.kallsyms])\n"
+    "\t400100 read_page (db)\n"
+    "\n"
+    "web 20/20 [001] 1.000300: syscalls:sys_enter_recvfrom: fd=5\n"
+    "\n"
+    "web 20/20 [001] 1.000400: sched:sched_switch: prev_comm=web prev_pid=20 "
+    "prev_prio=120 prev_state=S ==> next_comm=cruncher next_pid=50 next_prio=120\n"
+    "\tffffffff81000020 schedule_timeout ([kernel.kallsyms])\n"
+    "\t400200 serve (web)\n"
+    "\n"
+    "cruncher 50/50 [001] 1.001000: cpu-clock: \n"
+    "\t400300 crunch+0x10 (cruncher)\n"
+    "\t400340 main (cruncher)\n"
+    "\n"
+    "cruncher 50/50 [001] 1.002000: sched:sched_switch: prev_comm=cruncher "
+    "prev_pid=50 prev_prio=120 prev_state=R+ ==> next_comm=late next_pid=60 "
+    "next_prio=120\n"
+    "\tffffffff81000030 preempt_schedule ([kernel.kallsyms])\n"
+    "\t400300 crunch+0x10 (cruncher)\n"
+    "\n"
+    "late 60/60 [001] 1.003000: sched:sched_switch: prev_comm=late prev_pid=60 "
+    "prev_prio=120 prev_state=S ==> next_comm=cruncher next_pid=50 next_prio=120\n"
+    "\tffffffff81000040 do_nanosleep ([kernel.kallsyms])\n"
+    "\t400400 nap (late)\n"
+    "\n"
+    "swapper 0/0 [000] 1.005000: sched:sched_switch: prev_comm=swapper/0 "
+    "prev_pid=0 prev_prio=120 prev_state=R ==> next_comm=db next_pid=10 "
+    "next_prio=120\n",
+    "timer 30/30 [002] 1.000050: syscalls:sys_enter_clock_nanosleep: which=0\n"
+    "\n"
+    "timer 30/30 [002] 1.000060: sched:sched_switch: prev_comm=timer prev_pid=30 "
+    "prev_prio=120 prev_state=S ==> next_comm=swapper/2 next_pid=0 next_prio=120\n"
+    "\tffffffff81000050 hrtimer_nanosleep ([kernel.kallsyms])\n"
+    "\t400500 tick (timer)\n"
+    "\n"
+    "worker 40/40 [003] 1.000070: sched:sched_switch: prev_comm=worker prev_pid=40 "
+    "prev_prio=120 prev_state=S ==> next_comm=swapper/3 next_pid=0 next_prio=120\n"
+    "\tffffffff81000060 futex_wait_queue_me ([kernel.kallsyms])\n"
+    "\t7f0000000010 pthread_mutex_lock (libpthread.so.0)\n"
+    "\t400600 take_lock (worker)\n"
+    "\n"
+    "swapper 0/0 [002] 1.002500: sched:sched_switch: prev_comm=swapper/2 "
+    "prev_pid=0 prev_prio=120 prev_state=R ==> next_comm=timer next_pid=30 "
+    "next_prio=120\n"
+    "waker 99/99 [003] 1.002500: sched:sched_wakeup: comm=timer pid=30 prio=120 "
+    "target_cpu=002\n"
+    "timer 30/30 [002] 1.002600: syscalls:sys_exit_clock_nanosleep: 0x0\n"
+    "timer 30/30 [002] 1.004000: sched:sched_switch: prev_comm=timer prev_pid=30 "
+    "prev_prio=120 prev_state=S ==> next_comm=web next_pid=20 next_prio=120\n"
+    "waker 99/99 [003] 1.004000: sched:sched_wakeup: comm=web pid=20 prio=120 "
+    "target_cpu=002\n"
+    "web 20/20 [002] 1.004600: syscalls:sys_exit_recvfrom: 0x40\n"
+    "waker 99/99 [003] 1.005000: sched:sched_wakeup: comm=db pid=10 prio=120 "
+    "target_cpu=000\n"
+    "web 20/20 [002] 1.005500: net:netif_receive_skb: len=64\n"
+    "web 20/20 [002] 1.005600: sched:sched_switch: prev_comm=web prev_pid=20 "
+    "prev_prio=120 prev_state=S ==> next_comm=swapper/2 next_pid=0 next_prio=120\n"
+    "waker 99/99 [003] 1.006000: sched:sched_wakeup: comm=cruncher pid=50 "
+    "prio=120 target_cpu=001\n"
+    "waker 99/99 [000] 1.007000: sched:sched_wakeup: comm=worker pid=40 "
+    "prio=120 target_cpu=003\n"
+    "swapper 0/0 [003] 1.007200: sched:sched_switch: prev_comm=swapper/3 "
+    "prev_pid=0 prev_prio=120 prev_state=R ==> next_comm=worker next_pid=40 "
+    "next_prio=120\n",
+)
+
+
+def _input_args(tmp_path, name) -> list:
+    """--input arguments for TWO_INPUT_TRACE or a GOLDEN_RUNS simulator trace."""
+    if name == "two-input":
+        texts = TWO_INPUT_TRACE
+    else:
+        texts = [render_perf_script(simulate(small_cfg(**GOLDEN_RUNS[name][0])).events)]
+    args = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"{name}-{i}.txt"
+        path.write_text(text)
+        args += ["--input", str(path)]
+    return args
+
+
+_DIGEST_VERBS = {"parse": ["parse"], "offcpu": ["offcpu"], "report": ["report"],
+                 "csv": ["export", "--format", "csv"],
+                 "bulk": ["export", "--format", "bulk"],
+                 "json": ["export", "--format", "json"]}
+
+# sha256 of each verb's stdout, recorded before the scheduler walk kept
+# each thread's state in one record and the verbs shared one off-CPU path
+STDOUT_DIGESTS = {
+    "hand-traced": {
+        "parse": "b5b26fb156ed98c996878dff50e484e669981b33b27e774b01708d35e4c18a16",
+        "offcpu": "803f011489317e2b6443ebf153f5ea8cfb67286c3648c3a6012ff86683a08d26",
+        "report": "ff58b689fe49328d33a47ecf18742fa26f8647890c7e543052fa1fd399fad0f5",
+        "csv": "bd2dd151efd7367abb9f374c80dcd6afb5e1815c3112520756889014c16763f6",
+        "bulk": "8e3d352c8caaa9f4c0c37f800e36dce39bc624826c6f3d23463a8652f300bb7e",
+        "json": "326d5e6f9ff63f606c2d0889b500cd2c686114393a6b7d94f227887a040859e4",
+    },
+    "inverted-deadlock": {
+        "parse": "c758dbed3914816a4334822ebbcae1ea889884cb3255e98bbb8d899ff4ccee32",
+        "offcpu": "894d58bfaa400dc7d3d23fa848c8b8571aad37581c6e2a26b2271e2f8eeca74d",
+        "report": "c0a9bee00bb56774eaf78c4465ffa440b466727d5ab068f92a21252eec14a902",
+        "csv": "d120d799f2875f4023ccefa85b185e8265488f431e031814cc1685cef724b495",
+        "bulk": "c74f2937ae9d0e1585d5a7b9940fb30dd17a85ba05a6b5afdf8841a89597d940",
+        "json": "63593ac8abac173f9e0837b17727332958a1a3bda06c389f47216d80306ae192",
+    },
+    "jittered-multi-queue": {
+        "parse": "ad1ebcea7f01838ae428788d91c00c9425381443e19a78ecaa837f96b9ffc390",
+        "offcpu": "072bff2f3b4680e9825f61765989cc26296a2c3d6d524534d0933905a395e021",
+        "report": "2a6082f79eac3003256d1d7e27ddc606b6c67b37ccd77066ba27260f2f4f4c55",
+        "csv": "6748e1e65c4d22dd10ffe9ea57be3cd4bdcbe3c23f9c94e1fdf8a36976ca7753",
+        "bulk": "58d95df7648786aabed2da951e2b414a1171804db0c8b954795ef4939a69afc0",
+        "json": "1475c77d0ea7ca84ae3d20c6c7e5f0a44bcaac59b8488486fc371f03286d4726",
+    },
+    "two-input": {
+        "parse": "50e7a6fabddde4ae8d002307d7beea93351213d13ed3027d8e63cb16edfb0152",
+        "offcpu": "b9f5f7ef85a79ab308c5f12fdea175343641beb19de9935cf6f8318a853c9ada",
+        "report": "7b27494b0598a153575055a444925932f226dff0829bfd55ea1dc0e12e09eb4b",
+        "csv": "1dcef9632f5d0243b888b5e42e4d1db77ac41144c23c1a307f007c0f90c6f72b",
+        "bulk": "401317bab0e91088329b794f00f2826c5c9378a788a31a348b2c40dd9cc8823f",
+        "json": "6cd9657d20f0792f16db9d4cee71f5d7dae7bc3f0fd59694f7696813c0978743",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_stdout_digests(tmp_path, capsys, name):
+    inputs = _input_args(tmp_path, name)
+    digests = {}
+    for verb, argv in _DIGEST_VERBS.items():
+        code, out, _ = run(capsys, *argv, *inputs)
+        assert code == 0, verb
+        digests[verb] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == STDOUT_DIGESTS[name]
+
+
+def test_every_wait_verb_counts_contradictory_transitions(tmp_path, capsys):
+    inputs = _input_args(tmp_path, "two-input")
+    for verb in (["offcpu"], ["report"], ["export", "--format", "json"]):
+        code, _, err = run(capsys, *verb, *inputs)
+        assert (code, err) == (0, "1 contradictory scheduler transitions ignored\n"), verb

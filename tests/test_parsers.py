@@ -15,6 +15,7 @@ from latprof.parsers import (
     parse_gprof_flat,
     parse_mutrace,
     parse_oprofile_flat,
+    parse_perf_lines,
     parse_perf_script,
     parse_strace,
     sniff_format,
@@ -237,9 +238,10 @@ def test_perf_script_matches_reference_parser(groups, as_text):
     # the interning parser gives the events, error lines and reasons of the
     # line-at-a-time reference, in lenient mode and (first error) in strict mode
     lines = [line for group in groups for line in group]
-    source = "\n".join(lines) if as_text else [line + "\n" for line in lines]
+    source = "\n".join(lines) if as_text else lines
+    parse = parse_perf_script if as_text else parse_perf_lines
     for strict in (False, True):
-        assert _perf_script_outcome(parse_perf_script, source, strict) == \
+        assert _perf_script_outcome(parse, source, strict) == \
             _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
 
 
@@ -256,17 +258,17 @@ def test_perf_script_one_shot_iterator_matches_reference_parser():
 
     source = lines("8/8", "1" * 5000)
     for strict in (False, True):
-        assert _perf_script_outcome(parse_perf_script, iter(source), strict) == \
+        assert _perf_script_outcome(parse_perf_lines, iter(source), strict) == \
             _perf_script_outcome(perf_script_reference.parse_perf_script,
                                  iter(source), strict)
     for ids in ("1" * 5000, "8/" + "1" * 5000):
         source = lines(ids, "000")
-        res = parse_perf_script(line + "\n" for line in source)
+        res = parse_perf_lines(iter(source))
         assert [ev.ts for ev in res.events] == [500_000_000, 2_000_000_000]
         (err,) = res.errors
         assert (err.lineno, err.line) == (3, source[2]) and "digits" in err.reason
         with pytest.raises(MalformedLine) as info:
-            parse_perf_script(iter(source), strict=True)
+            parse_perf_lines(iter(source), strict=True)
         assert (info.value.lineno, info.value.line) == (3, source[2])
 
 
