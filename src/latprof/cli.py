@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import gc
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -170,14 +171,12 @@ def _offcpu_waits(args, events) -> tuple:
 # --- subcommands ---
 
 
-# `parse` NDJSON of the record formats: the parser, and the keys that differ
-# from the record's field names
+# `parse` NDJSON of the record formats: each format's parser
 _RECORD_FORMATS = {
-    "gprof": (parsers.parse_gprof_flat, None),
-    "oprofile": (parsers.parse_oprofile_flat, None),
-    "mutrace": (parsers.parse_mutrace, None),
-    "strace": (parsers.parse_strace,
-               {"args_text": "args", "wall_duration_s": "duration_s"}),
+    "gprof": parsers.parse_gprof_flat,
+    "oprofile": parsers.parse_oprofile_flat,
+    "mutrace": parsers.parse_mutrace,
+    "strace": parsers.parse_strace,
 }
 
 
@@ -189,8 +188,7 @@ def cmd_parse(args) -> int:
             if fmt == "perf":
                 chunks.append(export.to_perf_ndjson(_parse_perf(name, lines, args.strict)))
             elif fmt in _RECORD_FORMATS:
-                parse, renames = _RECORD_FORMATS[fmt]
-                chunks.append(export.to_records_ndjson(parse(_text(lines)), renames))
+                chunks.append(export.to_records_ndjson(_RECORD_FORMATS[fmt](_text(lines))))
             else:
                 raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
     _write_output("".join(chunks), args.out)
@@ -199,9 +197,8 @@ def cmd_parse(args) -> int:
 
 def cmd_report(args) -> int:
     events = _load_events(args)
-    group_by = tuple(g for g in args.group_by.split(",") if g)
     try:
-        profile = profile_agg.flat_profile(events, group_by=group_by)
+        profile = profile_agg.flat_profile(events, group_by=args.group_by)
     except profile_agg.NoSamples:
         profile = []
     summary, _ = _offcpu_waits(args, events)
@@ -365,9 +362,21 @@ def _non_negative_float(text: str) -> float:
         value = float(text)
     except ValueError:  # keep argparse's wording for type=float
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
     return value
+
+
+_GROUP_BY_FIELDS = ("comm", "dso", "symbol")
+
+
+def _group_by(text: str) -> tuple:
+    names = tuple(name for name in text.split(",") if name)
+    for name in names:
+        if name not in _GROUP_BY_FIELDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown field {name!r}; choose from {','.join(_GROUP_BY_FIELDS)}")
+    return names
 
 
 def _add_analysis_args(sub):
@@ -393,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_analysis_args(p)
     p.add_argument("--top", type=int, default=20, help="rows to print")
-    p.add_argument("--group-by", default="comm,dso,symbol",
+    p.add_argument("--group-by", type=_group_by, default="comm,dso,symbol",
                    help="comma subset of comm,dso,symbol")
     p.set_defaults(func=cmd_report)
 

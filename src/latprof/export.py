@@ -139,20 +139,17 @@ def to_perf_ndjson(events) -> str:
     return "".join(lines)
 
 
-def to_records_ndjson(records, renames=None) -> str:
+def to_records_ndjson(records) -> str:
     """`latprof parse` NDJSON of flat records (gprof, oprofile, mutrace and
     strace rows): one object per record with its fields in declaration
-    order, keyed by field name or by its entry in `renames`; exact
-    fractions are written as floats."""
-    renames = renames or {}
+    order, keyed by field name; exact fractions are written as floats."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = []
     for r in records:
         doc = {}
         for f in fields(r):
             value = getattr(r, f.name)
-            doc[renames.get(f.name, f.name)] = \
-                float(value) if isinstance(value, Fraction) else value
+            doc[f.name] = float(value) if isinstance(value, Fraction) else value
         lines.append(encode(doc) + "\n")
     return "".join(lines)
 

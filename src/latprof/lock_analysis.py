@@ -53,12 +53,13 @@ def contention_stats(acquisitions) -> list:
     up as integer nanoseconds, then convert once).
     """
     by_lock: dict[int, list] = {}
-    for index, acq in enumerate(acquisitions):
-        by_lock.setdefault(acq.lock_id, []).append((acq.grant_ts, index, acq))
+    # sorted() is stable: equal grant times keep input order
+    for acq in sorted(acquisitions, key=lambda a: a.grant_ts):
+        by_lock.setdefault(acq.lock_id, []).append(acq)
 
     stats = []
     for lock_id in sorted(by_lock):
-        grants = [acq for _, _, acq in sorted(by_lock[lock_id], key=lambda g: g[:2])]
+        grants = by_lock[lock_id]
         locked = len(grants)
         waits_ns = [a.grant_ts - a.request_ts for a in grants]
         contended = sum(1 for w in waits_ns if w > 0)
@@ -103,14 +104,14 @@ def build_lock_order_graph(acquisitions) -> LockOrderGraph:
     """
     graph = LockOrderGraph()
     by_tid: dict[int, list] = {}
-    for index, acq in enumerate(acquisitions):
+    for acq in sorted(acquisitions, key=lambda a: a.grant_ts):
         graph.nodes.add(acq.lock_id)
-        by_tid.setdefault(acq.tid, []).append((acq.grant_ts, index, acq))
+        by_tid.setdefault(acq.tid, []).append(acq)
 
     for tid in sorted(by_tid):
         held: list = []
-        for grant_ns, _, acq in sorted(by_tid[tid], key=lambda g: g[:2]):
-            held = [b for b in held if b.release_ts > grant_ns]
+        for acq in by_tid[tid]:
+            held = [b for b in held if b.release_ts > acq.grant_ts]
             for b in held:
                 if b.lock_id == acq.lock_id:
                     graph.reentrant[acq.lock_id] = graph.reentrant.get(acq.lock_id, 0) + 1

@@ -227,12 +227,12 @@ class GprofRow:
 
 
 _NUM = r"\d+\.\d+"
-_GPROF_ROW_RES = (
-    re.compile(
-        rf"^\s*({_NUM})\s+({_NUM})\s+({_NUM})\s+(\d+)\s+({_NUM})\s+({_NUM})\s+(\S.*?)\s*$"
-    ),
-    re.compile(rf"^\s*({_NUM})\s+({_NUM})\s+({_NUM})\s+(\d+)\s+(\S.*?)\s*$"),
-    re.compile(rf"^\s*({_NUM})\s+({_NUM})\s+({_NUM})\s+(\S.*?)\s*$"),
+# Every column is a whitespace-delimited run of digits, so each prefix
+# matches one way only, and the greedy optional groups try the 7-column
+# form, then the 5-column form (calls only), then the 4-column form.
+_GPROF_ROW_RE = re.compile(
+    rf"^\s*({_NUM})\s+({_NUM})\s+({_NUM})\s+"
+    rf"(?:(\d+)\s+(?:({_NUM})\s+({_NUM})\s+)?)?(\S.*?)\s*$"
 )
 
 
@@ -240,44 +240,37 @@ def _is_gprof_header(line: str) -> bool:
     return " ".join(line.split()).startswith("time seconds seconds calls")
 
 
+def _lines_after_header(text: str, is_header, missing: str):
+    """(line number, line) for each line after the first header line;
+    MissingHeader(missing) when no line is one."""
+    lines = enumerate(text.splitlines(), 1)
+    for _, line in lines:
+        if is_header(line):
+            return lines
+    raise MissingHeader(missing)
+
+
+def _fraction(text):
+    return None if text is None else Fraction(text)
+
+
 def parse_gprof_flat(text: str) -> list:
     """Parse a gprof flat profile; blank numeric cells become absent."""
-    lines = text.splitlines()
-    start = None
-    for i, line in enumerate(lines):
-        if _is_gprof_header(line):
-            start = i + 1
-            break
-    if start is None:
-        raise MissingHeader("gprof flat-profile column header not found")
-
     rows = []
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in _lines_after_header(
+            text, _is_gprof_header, "gprof flat-profile column header not found"):
         if not line.strip():
             break
-        for pattern in _GPROF_ROW_RES:
-            m = pattern.match(line)
-            if m:
-                break
-        else:
+        m = _GPROF_ROW_RE.match(line)
+        if m is None:
             raise MalformedRow(lineno, line, "does not match any flat-profile row form")
-        g = m.groups()
+        pct, cum, self_s, calls, self_per, total_per, name = m.groups()
         try:
-            if len(g) == 7:
-                rows.append(
-                    GprofRow(Fraction(g[0]), Fraction(g[1]), Fraction(g[2]),
-                             int(g[3]), Fraction(g[4]), Fraction(g[5]), g[6])
-                )
-            elif len(g) == 5:
-                rows.append(
-                    GprofRow(Fraction(g[0]), Fraction(g[1]), Fraction(g[2]),
-                             int(g[3]), None, None, g[4])
-                )
-            else:
-                rows.append(
-                    GprofRow(Fraction(g[0]), Fraction(g[1]), Fraction(g[2]),
-                             None, None, None, g[3])
-                )
+            rows.append(
+                GprofRow(Fraction(pct), Fraction(cum), Fraction(self_s),
+                         None if calls is None else int(calls),
+                         _fraction(self_per), _fraction(total_per), name)
+            )
         except ValueError as exc:
             raise MalformedRow(lineno, line, str(exc)) from exc
     return rows
@@ -310,14 +303,11 @@ def parse_oprofile_flat(text: str) -> list:
         tokens = line.split()
         if tokens == ["Function"]:
             continue
-        if len(tokens) == 3:
-            sym, pct_text, image = tokens
-        elif len(tokens) == 4:
-            # interior space in the percent token: "13 .32" -> "13.32"
-            sym, image = tokens[0], tokens[3]
-            pct_text = tokens[1] + tokens[2]
-        else:
+        if len(tokens) not in (3, 4):
             raise MalformedRow(lineno, line, "expected 'symbol percent image'")
+        # an interior space in the percent token: "13 .32" -> "13.32"
+        sym, *pct, image = tokens
+        pct_text = "".join(pct)
         if not _PERCENT_RE.match(pct_text):
             raise MalformedRow(lineno, line, f"bad percent token {pct_text!r}")
         try:
@@ -361,17 +351,10 @@ class MutexStats:
 
 def parse_mutrace(text: str) -> list:
     """Parse the mutrace per-mutex summary table."""
-    lines = text.splitlines()
-    start = None
-    for i, line in enumerate(lines):
-        if line.lstrip().startswith("Mutex #"):
-            start = i + 1
-            break
-    if start is None:
-        raise MissingHeader("mutrace 'Mutex #' header not found")
-
     rows = []
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in _lines_after_header(
+            text, lambda line: line.lstrip().startswith("Mutex #"),
+            "mutrace 'Mutex #' header not found"):
         if not re.match(r"^\s*\d", line):
             break
         tokens = line.split()
@@ -403,14 +386,14 @@ def parse_mutrace(text: str) -> list:
 class SyscallRecord:
     rel_ts: Fraction
     name: str
-    args_text: str
+    args: str
     retval: str
-    wall_duration_s: Fraction | None
+    duration_s: Fraction | None
 
     def __post_init__(self) -> None:
         if self.rel_ts < 0:
             raise ValueError("negative relative timestamp")
-        if self.wall_duration_s is not None and self.wall_duration_s < 0:
+        if self.duration_s is not None and self.duration_s < 0:
             raise ValueError("negative duration")
 
 
@@ -450,28 +433,19 @@ def parse_strace(text: str) -> list:
             if name not in unfinished:
                 raise MalformedRow(lineno, line, f"resumed {name} without unfinished")
             rel, head_args = unfinished.pop(name)
-            dur = m.group("dur")
-            records.append(
-                SyscallRecord(
-                    rel_ts=Fraction(rel),
-                    name=name,
-                    args_text=head_args + m.group("args"),
-                    retval=m.group("ret"),
-                    wall_duration_s=Fraction(dur) if dur is not None else None,
-                )
-            )
-            continue
-        m = _STRACE_LINE_RE.match(line)
-        if m is None:
-            raise MalformedRow(lineno, line, "does not match syscall line grammar")
-        dur = m.group("dur")
+        else:
+            # a complete line: a resumed line with no unfinished head
+            m = _STRACE_LINE_RE.match(line)
+            if m is None:
+                raise MalformedRow(lineno, line, "does not match syscall line grammar")
+            rel, head_args = m.group("rel"), ""
         records.append(
             SyscallRecord(
-                rel_ts=Fraction(m.group("rel")),
+                rel_ts=Fraction(rel),
                 name=m.group("name"),
-                args_text=m.group("args"),
+                args=head_args + m.group("args"),
                 retval=m.group("ret"),
-                wall_duration_s=Fraction(dur) if dur is not None else None,
+                duration_s=_fraction(m.group("dur")),
             )
         )
     return records

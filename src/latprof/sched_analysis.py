@@ -3,7 +3,9 @@
 A per-tid state machine pairs sched_switch/sched_wakeup events directly:
 a switch-out closes the thread's Running interval and opens Sleeping (or
 Runnable when it left in state R), a wakeup opens Runnable, a switch-in
-opens Running.  Contradictory transitions (e.g. a wakeup of a thread
+opens Running.  A wakeup of a thread already Runnable changes nothing
+and is not an anomaly: kernels emit sched_waking and then sched_wakeup
+for one wake.  Contradictory transitions (e.g. a wakeup of a thread
 already running) are tallied as anomalies and ignored.  Sleeping and
 Runnable intervals become WaitIntervals.
 
@@ -248,7 +250,7 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
                 if t.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
                     t.transition(ev.ts, ThreadState.RUNNABLE,
                                  reason=WaitReason.SCHEDULER_DELAY)
-                else:
+                elif t.state is ThreadState.RUNNING:
                     result.anomalies += 1
 
     for tid, t in threads.items():

@@ -170,7 +170,7 @@ class _Semaphore:
     def __init__(self, sem_id: str, count: int):
         self.sem_id = sem_id
         self.count = count
-        self.waiters = deque()  # (tid, blocked_since_ns)
+        self.waiters = deque()  # tids of the blocked threads, in arrival order
 
 
 class _Thread:

@@ -130,8 +130,8 @@ def record_ndjson(fmt, records):
         else:
             doc = {
                 "rel_ts": _fraction_float(r.rel_ts), "name": r.name,
-                "args": r.args_text, "retval": r.retval,
-                "duration_s": _fraction_float(r.wall_duration_s),
+                "args": r.args, "retval": r.retval,
+                "duration_s": _fraction_float(r.duration_s),
             }
         lines.append(json.dumps(doc, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)

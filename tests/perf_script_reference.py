@@ -96,9 +96,9 @@ def parse_perf_script(source, strict: bool = False) -> PerfParse:
             return
         lineno, m, frames = pending
         pending = None
-        pid = int(m.group("pid"))
-        tid = int(m.group("tid")) if m.group("tid") is not None else pid
         try:
+            pid = int(m.group("pid"))
+            tid = int(m.group("tid")) if m.group("tid") is not None else pid
             events.append(
                 TraceEvent(
                     comm=m.group("comm"),

@@ -487,6 +487,36 @@ def test_offcpu_idle_task_wakeup_golden(tmp_path, capsys):
     assert (code, out, err) == (0, IDLE_WAKE_OFFCPU, "")
 
 
+WAKING_TRACE = (
+    "app 100/100 [000] 1.000000: sched:sched_switch: prev_comm=app prev_pid=100 "
+    "prev_prio=120 prev_state=S ==> next_comm=swapper/0 next_pid=0 next_prio=120\n"
+    "\n"
+    "waker 7/7 [001] 1.500000: sched:sched_waking: comm=app pid=100 prio=120 "
+    "target_cpu=000\n"
+    "\n"
+    "waker 7/7 [001] 1.500010: sched:sched_wakeup: comm=app pid=100 prio=120 "
+    "target_cpu=000\n"
+    "\n"
+    "swapper 0/0 [000] 1.600000: sched:sched_switch: prev_comm=swapper/0 "
+    "prev_pid=0 prev_prio=120 prev_state=R ==> next_comm=app next_pid=100 "
+    "next_prio=120\n"
+)
+
+
+def test_waking_then_wakeup_is_one_wake(tmp_path, capsys):
+    # kernels emit sched_waking and then sched_wakeup for one wake: the
+    # second finds the thread runnable, which is not a contradiction
+    outputs = []
+    for text in (WAKING_TRACE, WAKING_TRACE.replace("sched:sched_wakeup", "cpu-clock")):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        outputs.append(run(capsys, "offcpu", "--input", str(path)))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, err) == (0, "")
+    assert "     100  SchedulerDelay        0.100000  app\n" in out
+
+
 def test_offcpu_non_ascii_digit_pid_is_not_a_pid(tmp_path, capsys):
     # "²".isdigit() holds but int() rejects it: such a next_pid must read
     # as a non-number, like "abc", not abort the analysis
@@ -520,13 +550,23 @@ def test_offcpu_negative_top_lists_every_stack(sim_trace, capsys):
 
 def test_negative_lookback_is_usage_error(trace_file, capsys):
     for verb in (["report"], ["offcpu"], ["export", "--format", "json"]):
-        code, out, err = run(capsys, *verb, "--input", trace_file,
-                             "--lookback-ms", "-1")
-        assert code == 2
-        assert out == ""
-        assert "--lookback-ms: must be >= 0" in err
+        for value in ("-1", "inf", "nan", "1e400"):
+            code, out, err = run(capsys, *verb, "--input", trace_file,
+                                 "--lookback-ms", value)
+            assert code == 2
+            assert out == ""
+            assert "--lookback-ms: must be >= 0" in err
     code, _, _ = run(capsys, "offcpu", "--input", trace_file, "--lookback-ms", "0")
     assert code == 0
+
+
+def test_unknown_group_by_field_is_usage_error(trace_file, capsys):
+    code, out, err = run(capsys, "report", "--input", trace_file, "--group-by", "sym")
+    assert (code, out) == (2, "")
+    assert "--group-by: unknown field 'sym'" in err
+    _, by_nothing, _ = run(capsys, "report", "--input", trace_file, "--group-by", "")
+    code, out, _ = run(capsys, "report", "--input", trace_file, "--group-by", ",")
+    assert (code, out) == (0, by_nothing)
 
 
 def test_each_verb_sorts_events_once(sim_trace, capsys, monkeypatch):

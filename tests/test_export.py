@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latprof.cli import _RECORD_FORMATS
 from latprof.export import (
     BadIndexName,
     EmptyInput,
@@ -198,7 +197,7 @@ _RECORDS = {
     lambda fmt: st.tuples(st.just(fmt), st.lists(_RECORDS[fmt], max_size=4))))
 def test_record_ndjson_matches_reference(fmt_records):
     fmt, records = fmt_records
-    assert to_records_ndjson(records, _RECORD_FORMATS[fmt][1]) == \
+    assert to_records_ndjson(records) == \
         export_reference.record_ndjson(fmt, records)
 
 

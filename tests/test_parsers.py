@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latprof import cli, parsers
 from latprof.parsers import (
+    GprofRow,
     MalformedLine,
     MalformedRow,
     MissingHeader,
@@ -247,20 +248,18 @@ def test_perf_script_matches_reference_parser(groups, as_text):
 
 def test_perf_script_one_shot_iterator_matches_reference_parser():
     # a streamed source is read once, so a header that fails when its block
-    # ends, lines later, must still be reported with its own text and line.
-    # The reference converts the pid outside its error handling, so the
-    # comparison puts the digit limit in the cpu; the pid case is asserted
-    # directly.
+    # ends, lines later, must still be reported with its own text and line
     def lines(ids, cpu):
         return ["ok 7/7 [000] 0.5: cpu-clock:", "",
                 f"app {ids} [{cpu}] 1.0: cpu-clock:", "\t400000 main (app)", "",
                 "ok 7/7 [000] 2.0: cpu-clock:"]
 
-    source = lines("8/8", "1" * 5000)
-    for strict in (False, True):
-        assert _perf_script_outcome(parse_perf_lines, iter(source), strict) == \
-            _perf_script_outcome(perf_script_reference.parse_perf_script,
-                                 iter(source), strict)
+    for ids, cpu in (("8/8", "1" * 5000), ("1" * 5000, "000"), ("8/" + "1" * 5000, "000")):
+        source = lines(ids, cpu)
+        for strict in (False, True):
+            assert _perf_script_outcome(parse_perf_lines, iter(source), strict) == \
+                _perf_script_outcome(perf_script_reference.parse_perf_script,
+                                     iter(source), strict)
     for ids in ("1" * 5000, "8/" + "1" * 5000):
         source = lines(ids, "000")
         res = parse_perf_lines(iter(source))
@@ -290,6 +289,23 @@ def test_gprof_published_listing():
         Fraction("75.47"), Fraction("166.02"), "bar()")
     # names with spaces survive
     assert rows[3].name == "std::operator|(std::_Ios_Openmode, std::_Ios_Openmode)"
+
+
+def test_gprof_calls_without_per_call_cells():
+    # the 5-column form: a calls count, both per-call cells blank
+    text = (
+        " time   seconds   seconds    calls  ms/call  ms/call  name\n"
+        " 60.00      0.03     0.03      120                    spin_wait\n"
+        " 40.00      0.05     0.02        3                    operator new(unsigned long)\n"
+        "\n"
+        " 99.00      9.99     9.99                             after_the_table\n"
+    )
+    assert parse_gprof_flat(text) == [
+        GprofRow(Fraction("60.00"), Fraction("0.03"), Fraction("0.03"), 120, None, None,
+                 "spin_wait"),
+        GprofRow(Fraction("40.00"), Fraction("0.05"), Fraction("0.02"), 3, None, None,
+                 "operator new(unsigned long)"),
+    ]
 
 
 def test_gprof_header_only():
@@ -390,9 +406,9 @@ def test_strace_basic_line():
     (rec,) = parse_strace('0.000045 read(3, ""..., 512) = 512 <0.000011>\n')
     assert rec.rel_ts == Fraction("0.000045")
     assert rec.name == "read"
-    assert rec.args_text == '3, ""..., 512'
+    assert rec.args == '3, ""..., 512'
     assert rec.retval == "512"
-    assert rec.wall_duration_s == Fraction("0.000011")
+    assert rec.duration_s == Fraction("0.000011")
 
 
 def test_strace_first_line_zero_rel():
@@ -406,7 +422,7 @@ def test_strace_first_line_zero_rel():
 
 def test_strace_missing_duration():
     (rec,) = parse_strace("0.000100 close(3) = 0\n")
-    assert rec.wall_duration_s is None
+    assert rec.duration_s is None
 
 
 def test_strace_unfinished_resumed_merge():
@@ -419,8 +435,19 @@ def test_strace_unfinished_resumed_merge():
     assert rec.name == "read"
     assert rec.rel_ts == Fraction("0.000050")
     assert rec.retval == "3"
-    assert rec.wall_duration_s == Fraction("0.001")
-    assert "xyz" in rec.args_text and rec.args_text.startswith("4, ")
+    assert rec.duration_s == Fraction("0.001")
+    assert "xyz" in rec.args and rec.args.startswith("4, ")
+
+
+def test_strace_resumed_without_unfinished():
+    text = (
+        "0.000100 close(3) = 0 <0.000002>\n"
+        '0.000900 <... read resumed> "xyz", 64) = 3 <0.001000>\n'
+    )
+    with pytest.raises(MalformedRow) as info:
+        parse_strace(text)
+    assert info.value.lineno == 2
+    assert info.value.reason == "resumed read without unfinished"
 
 
 def test_strace_exit_annotation_skipped():
@@ -436,7 +463,7 @@ def test_strace_negative_retval_text():
         "0.001000 open(\"/nope\", O_RDONLY) = -1 ENOENT (No such file or directory) <0.000009>\n"
     )
     assert rec.retval == "-1 ENOENT (No such file or directory)"
-    assert rec.wall_duration_s == Fraction("0.000009")
+    assert rec.duration_s == Fraction("0.000009")
 
 
 def test_strace_malformed_row():
