@@ -164,7 +164,7 @@ def _offcpu_waits(args, events) -> tuple:
     if timelines.anomalies:
         print(f"{timelines.anomalies} contradictory scheduler transitions ignored",
               file=sys.stderr)
-    summary = sched_analysis.summarize_waits(sched_analysis.attribute_offcpu(timelines))
+    summary = sched_analysis.summarize_waits(timelines)
     return summary, {tid: timeline.comm for tid, timeline in timelines.by_tid.items()}
 
 

@@ -439,15 +439,16 @@ def parse_strace(text: str) -> list:
             if m is None:
                 raise MalformedRow(lineno, line, "does not match syscall line grammar")
             rel, head_args = m.group("rel"), ""
-        records.append(
-            SyscallRecord(
+        try:
+            records.append(SyscallRecord(
                 rel_ts=Fraction(rel),
                 name=m.group("name"),
                 args=head_args + m.group("args"),
                 retval=m.group("ret"),
                 duration_s=_fraction(m.group("dur")),
-            )
-        )
+            ))
+        except ValueError as exc:
+            raise MalformedRow(lineno, line, str(exc)) from exc
     return records
 
 

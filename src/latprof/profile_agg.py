@@ -1,7 +1,7 @@
-"""Aggregate sample events into flat profiles, call graphs, and call trees.
+"""Aggregate sample events into flat profiles and call graphs.
 
-Stacks are leaf-first in memory (perf script print order); tree builders
-reverse to root-first themselves.  Aggregation is period-weighted when
+Stacks are leaf-first in memory (perf script print order); the call graph
+reverses them to root-first itself.  Aggregation is period-weighted when
 samples carry a period, count-weighted otherwise, and percents are exact
 rationals of the weight totals so they always sum to 100.
 """
@@ -116,48 +116,3 @@ def build_call_graph(events) -> CallGraph:
             g.exclusive.setdefault(sym, 0)
         g.total_weight += period
     return g
-
-
-@dataclass
-class CallTreeNode:
-    symbol: str
-    dso: str | None
-    weight: int = 0
-    children: list = field(default_factory=list)  # ordered by first appearance
-
-    def child(self, symbol, dso):
-        for node in self.children:
-            if node.symbol == symbol and node.dso == dso:
-                return node
-        node = CallTreeNode(symbol=symbol, dso=dso)
-        self.children.append(node)
-        return node
-
-
-@dataclass
-class DynamicCallTree:
-    """Rooted per-thread tree of observed stack prefixes.
-
-    `root` is a synthetic container whose weight equals the total samples
-    for the tid; its children are the observed outermost frames.
-    """
-
-    tid: int
-    root: CallTreeNode = field(default_factory=lambda: CallTreeNode("(root)", None))
-
-
-def build_dynamic_call_tree(events, tid: int) -> DynamicCallTree:
-    """Insert each of the tid's sampled stacks root-first, adding weights."""
-    tree = DynamicCallTree(tid=tid)
-    for ev in events:
-        if ev.tid != tid or not ev.stack:
-            continue
-        tree.root.weight += ev.period
-        node = tree.root
-        for frame in reversed(ev.stack):
-            sym = frame.display_symbol() if frame.symbol else UNKNOWN
-            node = node.child(sym, frame.dso)
-            node.weight += ev.period
-    if tree.root.weight == 0:
-        raise NoSamples(f"no stack samples for tid {tid}")
-    return tree

@@ -6,8 +6,9 @@ Runnable when it left in state R), a wakeup opens Runnable, a switch-in
 opens Running.  A wakeup of a thread already Runnable changes nothing
 and is not an anomaly: kernels emit sched_waking and then sched_wakeup
 for one wake.  Contradictory transitions (e.g. a wakeup of a thread
-already running) are tallied as anomalies and ignored.  Sleeping and
-Runnable intervals become WaitIntervals.
+already running) are tallied as anomalies and ignored.  The Sleeping
+and Runnable intervals, which carry a wait reason, are the waits that
+`summarize_waits` folds.
 
 Events are processed in a canonical order: timestamp, then an event-kind
 rank (wakeups, then everything else, then switch-ins, then switch-outs),
@@ -32,12 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .trace_model import (
-    WaitInterval,
-    WaitKind,
-    WaitReason,
-    stack_signature,
-)
+from .trace_model import WaitReason, stack_signature
 
 DEFAULT_LOCK_SYMBOLS = frozenset(
     {
@@ -276,21 +272,6 @@ def classify_wait(prev_state, stack, pending_syscall, has_block_event,
     return WaitReason.UNKNOWN
 
 
-_WAIT_KINDS = {ThreadState.SLEEPING: WaitKind.BLOCKED,
-               ThreadState.RUNNABLE: WaitKind.RUNNABLE}
-
-
-def attribute_offcpu(timelines: Timelines) -> list:
-    """One WaitInterval per Sleeping/Runnable timeline interval, in tid order."""
-    return [
-        WaitInterval(tid, iv.start, iv.end, _WAIT_KINDS[iv.state], iv.reason,
-                     iv.stack, iv.truncated)
-        for tid in sorted(timelines.by_tid)
-        for iv in timelines.by_tid[tid].intervals
-        if iv.reason is not None
-    ]
-
-
 def _log2_bucket_us(dur_ns: int) -> int:
     """k with 2^k <= dur_ns/1000 < 2^(k+1), exact integer arithmetic."""
     if dur_ns >= 1000:
@@ -323,20 +304,25 @@ class WaitSummary:
                       key=lambda row: (row[0], row[1].value))
 
 
-def summarize_waits(intervals) -> WaitSummary:
+def summarize_waits(timelines: Timelines) -> WaitSummary:
+    """Fold every wait (Sleeping and Runnable interval: those with a
+    reason) of the timelines into one summary."""
     summary = WaitSummary()
     signatures = {}  # stack -> its signature
-    for w in intervals:
-        ns = w.end - w.start
-        key = (w.tid, w.reason)
-        summary.by_tid_reason[key] = summary.by_tid_reason.get(key, 0) + ns
-        sig = signatures.get(w.stack)
-        if sig is None:
-            sig = signatures[w.stack] = stack_signature(w.stack)
-        cur = summary.by_stack.setdefault(sig, [0, 0])
-        cur[0] += ns
-        cur[1] += 1
-        if ns > 0:
-            bucket = _log2_bucket_us(ns)
-            summary.histogram[bucket] = summary.histogram.get(bucket, 0) + 1
+    for tid, timeline in timelines.by_tid.items():
+        for iv in timeline.intervals:
+            if iv.reason is None:
+                continue
+            ns = iv.end - iv.start
+            key = (tid, iv.reason)
+            summary.by_tid_reason[key] = summary.by_tid_reason.get(key, 0) + ns
+            sig = signatures.get(iv.stack)
+            if sig is None:
+                sig = signatures[iv.stack] = stack_signature(iv.stack)
+            cur = summary.by_stack.setdefault(sig, [0, 0])
+            cur[0] += ns
+            cur[1] += 1
+            if ns > 0:
+                bucket = _log2_bucket_us(ns)
+                summary.histogram[bucket] = summary.histogram.get(bucket, 0) + 1
     return summary

@@ -35,12 +35,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .lock_analysis import LockAcquisition
-from .sched_analysis import (
-    attribute_offcpu,
-    build_timelines,
-    summarize_waits,
-)
-from .trace_model import Frame, TraceEvent, WaitKind
+from .sched_analysis import ThreadState, build_timelines, summarize_waits
+from .trace_model import Frame, TraceEvent
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
@@ -516,8 +512,7 @@ def replay_check(events, truth: GroundTruth) -> ReplayReport:
     "mismatch".
     """
     timelines = build_timelines(events)
-    waits = attribute_offcpu(timelines)
-    summary = summarize_waits(waits)
+    summary = summarize_waits(timelines)
 
     # a stream that ends before the simulated completion is truncated; all
     # of its discrepancies are degradation, not analyzer faults
@@ -528,18 +523,19 @@ def replay_check(events, truth: GroundTruth) -> ReplayReport:
 
     measured = {}
     truncated_keys = set()
-    for w in waits:
-        if w.kind is not WaitKind.BLOCKED:
-            continue
-        sem = _sem_from_stack(w.stack)
-        if sem is None:
-            continue
-        key = (w.tid, sem)
-        entry = measured.setdefault(key, [0, 0])
-        entry[0] += w.end - w.start
-        entry[1] += 1
-        if w.truncated:
-            truncated_keys.add(key)
+    for tid, timeline in timelines.by_tid.items():
+        for iv in timeline.intervals:
+            if iv.state is not ThreadState.SLEEPING:
+                continue
+            sem = _sem_from_stack(iv.stack)
+            if sem is None:
+                continue
+            key = (tid, sem)
+            entry = measured.setdefault(key, [0, 0])
+            entry[0] += iv.end - iv.start
+            entry[1] += 1
+            if iv.truncated:
+                truncated_keys.add(key)
 
     discrepancies = []
     pending = {(tid, sem) for tid, sem, _ in truth.pending}

@@ -124,9 +124,9 @@ class TraceEvent:
 
 
 class WaitKind(enum.Enum):
-    # hot dict keys: hash by identity (equality already is), in C rather
-    # than through Enum.__hash__
-    __hash__ = object.__hash__
+    """Unused by the library: a wait is a Sleeping or Runnable
+    `sched_analysis.TimelineInterval`.  Kept only for the import in
+    `perfbench/tracer.py`."""
 
     BLOCKED = "blocked"
     RUNNABLE = "runnable"
@@ -143,32 +143,6 @@ class WaitReason(enum.Enum):
     NETWORK = "Network"
     TIMER = "Timer"
     UNKNOWN = "Unknown"
-
-
-@dataclass(frozen=True, slots=True)
-class WaitInterval:
-    """A per-thread blocked or runnable-delay interval with its wait reason.
-
-    `stack` is the call stack attached to the scheduler event that opened
-    the interval (empty when the recording lacked stacks).  `truncated`
-    marks intervals still open when the trace ended.
-    """
-
-    tid: int
-    start: int  # ns
-    end: int  # ns
-    kind: WaitKind
-    reason: WaitReason
-    stack: tuple = ()
-    truncated: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.end:
-            if self.start < 0:
-                raise ValueError(f"timestamp must be non-negative, got {self.start}")
-            raise ValueError("interval end precedes start")
-        if self.kind is WaitKind.RUNNABLE and self.reason is not WaitReason.SCHEDULER_DELAY:
-            raise ValueError("runnable intervals are scheduler delay by definition")
 
 
 def stack_signature(stack) -> str:

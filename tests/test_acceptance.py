@@ -41,7 +41,6 @@ from latprof.parsers import (
 from latprof.profile_agg import build_call_graph, flat_profile
 from latprof.sched_analysis import (
     ThreadState,
-    attribute_offcpu,
     build_timelines,
     summarize_waits,
 )
@@ -182,12 +181,11 @@ def test_criterion_3_conservation_suites():
             window = tls.end - tls.origin
             for timeline in tls.by_tid.values():
                 assert timeline.total_ns() == window
-            waits = attribute_offcpu(tls)
             offcpu_ns = sum(
                 iv.end - iv.start
                 for tl in tls.by_tid.values() for iv in tl.intervals
                 if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE))
-            assert summarize_waits(waits).total_ns() == offcpu_ns
+            assert summarize_waits(tls).total_ns() == offcpu_ns
 
         for _ in range(1000):  # percent normalization, 100 +- 0.01
             events = _random_samples(rng)

@@ -192,6 +192,16 @@ _READING_VERBS = {"offcpu": ["offcpu"], "locks": ["locks"],
                   "graph": ["graph", "--cycles"], "parse": ["parse"]}
 
 
+def test_parse_strace_huge_timestamp_names_line(tmp_path, capsys):
+    path = tmp_path / "strace.txt"
+    path.write_text("1" * 5000 + '.5 read(3, "x", 1) = 1 <0.000010>\n')
+    code, out, err = run(capsys, "parse", "--input", str(path), "--format", "strace")
+    assert code == 1
+    assert out == ""
+    assert "line 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", _READING_VERBS)
 def test_undecodable_input_names_file_and_line(tmp_path, capsys, verb):
     path = tmp_path / "bad.txt"

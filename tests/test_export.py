@@ -31,12 +31,16 @@ from latprof.parsers import (
     parse_perf_script,
 )
 from latprof.profile_agg import flat_profile
-from latprof.sched_analysis import summarize_waits
+from latprof.sched_analysis import (
+    ThreadState,
+    ThreadTimeline,
+    TimelineInterval,
+    Timelines,
+    summarize_waits,
+)
 from latprof.trace_model import (
     Frame,
     TraceEvent,
-    WaitInterval,
-    WaitKind,
     WaitReason,
     format_ns,
     parse_ns,
@@ -291,9 +295,9 @@ def test_report_mutrace_columns():
 
 
 def test_report_wait_section():
-    waits = [WaitInterval(5, 0, 4_000_000,
-                          WaitKind.BLOCKED, WaitReason.LOCK)]
-    text = render_text_report(None, summarize_waits(waits))
+    wait = TimelineInterval(0, 4_000_000, ThreadState.SLEEPING, reason=WaitReason.LOCK)
+    timelines = Timelines(by_tid={5: ThreadTimeline(5, intervals=[wait])})
+    text = render_text_report(None, summarize_waits(timelines))
     assert "Lock" in text
     assert "0.004000" in text
 
@@ -305,7 +309,7 @@ def test_report_json_bundles_views():
     events = [ev(), ev(comm="scp", ts="11.0")]
     doc = json.loads(to_report_json(
         profile=flat_profile(events, group_by=("comm",)),
-        wait_summary=summarize_waits([]),
+        wait_summary=summarize_waits(Timelines()),
         histogram=events_per_second(events, 1),
         pie=utilization_pie(events),
     ))

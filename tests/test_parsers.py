@@ -469,6 +469,12 @@ def test_strace_negative_retval_text():
 def test_strace_malformed_row():
     with pytest.raises(MalformedRow):
         parse_strace("this is not a syscall\n")
+    # numbers past the int-string digit limit name their line too
+    for line in ("1" * 5000 + '.5 read(3, "x", 1) = 1 <0.000010>',
+                 '0.5 read(3, "x", 1) = 1 <' + "1" * 5000 + ".5>"):
+        with pytest.raises(MalformedRow) as err:
+            parse_strace("0.000045 read(3) = 0 <0.000011>\n" + line + "\n")
+        assert err.value.lineno == 2
 
 
 # --- sniffing ---

@@ -6,7 +6,6 @@ import pytest
 from latprof.profile_agg import (
     NoSamples,
     build_call_graph,
-    build_dynamic_call_tree,
     flat_profile,
 )
 from latprof.trace_model import Frame, TraceEvent
@@ -144,40 +143,3 @@ def test_call_graph_exclusive_conservation_randomized():
         assert sum(g.exclusive.values()) == g.total_weight
         for node in g.nodes:
             assert g.exclusive.get(node, 0) <= g.inclusive[node]
-
-
-# --- dynamic call tree ---
-
-
-def test_dynamic_call_tree_insertion():
-    paths = [["main", "foo"], ["main", "bar"], ["main", "foo"]]
-    events = [sample("p", "d", None, stack_syms=list(reversed(p))) for p in paths]
-    tree = build_dynamic_call_tree(events, 1)
-    assert tree.root.weight == 3
-    (main,) = tree.root.children
-    assert main.symbol == "main" and main.weight == 3
-    assert [(c.symbol, c.weight) for c in main.children] == [("foo", 2), ("bar", 1)]
-
-
-def test_dynamic_call_tree_single_sample():
-    tree = build_dynamic_call_tree(
-        [sample("p", "d", None, stack_syms=["leaf", "mid", "root"])], 1)
-    node = tree.root
-    for sym in ["root", "mid", "leaf"]:
-        (node,) = node.children
-        assert node.symbol == sym and node.weight == 1
-
-
-def test_dynamic_call_tree_filters_by_tid():
-    events = [
-        sample("p", "d", None, tid=1, stack_syms=["a"]),
-        sample("p", "d", None, tid=2, stack_syms=["b"]),
-    ]
-    tree = build_dynamic_call_tree(events, 2)
-    assert tree.root.weight == 1
-    assert tree.root.children[0].symbol == "b"
-
-
-def test_dynamic_call_tree_unknown_tid():
-    with pytest.raises(NoSamples):
-        build_dynamic_call_tree([sample("p", "d", None, tid=1, stack_syms=["a"])], 42)

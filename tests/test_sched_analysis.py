@@ -3,7 +3,9 @@ import random
 from latprof.sched_analysis import (
     AnalysisConfig,
     ThreadState,
-    attribute_offcpu,
+    ThreadTimeline,
+    TimelineInterval,
+    Timelines,
     build_timelines,
     canonical_sort,
     classify_wait,
@@ -12,7 +14,6 @@ from latprof.sched_analysis import (
 from latprof.trace_model import (
     Frame,
     TraceEvent,
-    WaitKind,
     WaitReason,
     parse_ns,
 )
@@ -50,6 +51,12 @@ def states(timeline):
     return [(iv.start, iv.end, iv.state) for iv in timeline.intervals]
 
 
+def intervals_in(tls, state):
+    """(tid, interval) of every `state` interval, in tid order."""
+    return [(tid, iv) for tid in sorted(tls.by_tid)
+            for iv in tls.by_tid[tid].intervals if iv.state is state]
+
+
 def test_sleep_wake_run_cycle():
     # hand state-machine trace from the switch/wakeup pairing rules
     events = [
@@ -71,9 +78,8 @@ def test_interval_records_have_no_instance_dict():
     # slotted: long traces hold one interval record per scheduler transition
     events = [switch(1.0, 7, "S", 0), wakeup(3.0, 7), switch(3.5, 0, "R", 7)]
     tls = build_timelines(events)
-    waits = attribute_offcpu(tls)
-    assert tls.by_tid[7].intervals and waits
-    for record in tls.by_tid[7].intervals + waits:
+    assert tls.by_tid[7].intervals
+    for record in tls.by_tid[7].intervals:
         assert not hasattr(record, "__dict__")
 
 
@@ -149,6 +155,15 @@ def test_timeline_conservation_random_streams():
             # intervals abut and are sorted
             for a, b in zip(timeline.intervals, timeline.intervals[1:]):
                 assert a.end == b.start
+            # exactly the Sleeping and Runnable intervals are waits
+            for iv in timeline.intervals:
+                assert 0 <= iv.start <= iv.end
+                if iv.state is ThreadState.RUNNABLE:
+                    assert iv.reason is WaitReason.SCHEDULER_DELAY
+                elif iv.state is ThreadState.SLEEPING:
+                    assert iv.reason is not None
+                else:
+                    assert iv.reason is None
 
 
 def test_attribution_completeness_random_streams():
@@ -165,7 +180,7 @@ def test_attribution_completeness_random_streams():
             else:
                 events.append(wakeup(f"{t / 1e9:.9f}", tid))
         tls = build_timelines(events)
-        waits = attribute_offcpu(tls)
+        summary = summarize_waits(tls)
         expected = sum(
             iv.end - iv.start
             for tl in tls.by_tid.values()
@@ -178,8 +193,8 @@ def test_attribution_completeness_random_streams():
             for iv in tl.intervals
             if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE)
         )
-        assert len(waits) == n_expected
-        assert summarize_waits(waits).total_ns() == expected
+        assert sum(count for _, count in summary.by_stack.values()) == n_expected
+        assert summary.total_ns() == expected
 
 
 def test_equal_timestamp_permutation_determinism():
@@ -198,7 +213,7 @@ def test_equal_timestamp_permutation_determinism():
         traced(4.0, 7, "block:block_rq_issue"),
         switch(4.0, 7, "S", 0),
     ]
-    reference = summarize_waits(attribute_offcpu(build_timelines(base)))
+    reference = summarize_waits(build_timelines(base))
     assert {reason for _, reason in reference.by_tid_reason} == {
         WaitReason.NETWORK, WaitReason.TIMER, WaitReason.BLOCK_IO,
         WaitReason.SCHEDULER_DELAY}
@@ -206,7 +221,7 @@ def test_equal_timestamp_permutation_determinism():
     for _ in range(20):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        summary = summarize_waits(attribute_offcpu(build_timelines(shuffled)))
+        summary = summarize_waits(build_timelines(shuffled))
         assert summary.by_tid_reason == reference.by_tid_reason
         assert summary.histogram == reference.histogram
 
@@ -215,25 +230,24 @@ def test_attribute_lock_stack():
     lock_stack = (Frame(symbol="futex_wait", dso="[kernel]"),
                   Frame(symbol="main", dso="app"))
     events = [switch(1.0, 2, "S", 0, stack=lock_stack), wakeup(2.0, 2)]
-    waits = attribute_offcpu(build_timelines(events))
-    blocked = [w for w in waits if w.kind is WaitKind.BLOCKED]
-    assert blocked[0].reason is WaitReason.LOCK
-    assert blocked[0].stack == lock_stack
+    (_, blocked), = intervals_in(build_timelines(events), ThreadState.SLEEPING)
+    assert blocked.reason is WaitReason.LOCK
+    assert blocked.stack == lock_stack
 
 
 def test_attribute_runnable_is_scheduler_delay():
     events = [switch(1.0, 2, "R", 0), switch(2.0, 0, "R", 2)]
-    waits = attribute_offcpu(build_timelines(events))
-    runnable = [w for w in waits if w.kind is WaitKind.RUNNABLE]
-    assert runnable and all(w.reason is WaitReason.SCHEDULER_DELAY for w in runnable)
+    runnable = intervals_in(build_timelines(events), ThreadState.RUNNABLE)
+    assert runnable and all(iv.reason is WaitReason.SCHEDULER_DELAY
+                            for _, iv in runnable)
 
 
 def test_attribute_block_event_within_window():
     block_ev = TraceEvent("app", 2, 2, 0, parse_ns("0.9995"),
                           "block:block_rq_issue")
     events = [block_ev, switch(1.0, 2, "D", 0), wakeup(2.0, 2)]
-    waits = attribute_offcpu(build_timelines(events))
-    blocked = [w for w in waits if w.kind is WaitKind.BLOCKED and w.tid == 2]
+    blocked = [iv for tid, iv in intervals_in(build_timelines(events),
+                                              ThreadState.SLEEPING) if tid == 2]
     assert blocked[0].reason is WaitReason.BLOCK_IO
 
 
@@ -247,8 +261,8 @@ def test_pending_syscall_tracked_through_exit():
         switch(2.0, 2, "S", 0),   # no pending syscall anymore
         wakeup(2.5, 2),
     ]
-    waits = [w for w in attribute_offcpu(build_timelines(events))
-             if w.kind is WaitKind.BLOCKED]
+    waits = [iv for _, iv in intervals_in(build_timelines(events),
+                                          ThreadState.SLEEPING)]
     assert waits[0].reason is WaitReason.LOCK
     assert waits[1].reason is WaitReason.UNKNOWN
 
@@ -333,11 +347,9 @@ def test_wait_reasons_match_brute_force_reference():
         ordered = canonical_sort(events)
         for lookback_ns in (0, 10**6, 5 * 10**6):
             tls = build_timelines(events, AnalysisConfig(lookback_ns=lookback_ns))
-            for w in attribute_offcpu(tls):
-                if w.kind is not WaitKind.BLOCKED:
-                    continue
-                assert w.reason is _reference_reason(ordered, w.tid, w.start,
-                                                     lookback_ns)
+            for tid, iv in intervals_in(tls, ThreadState.SLEEPING):
+                assert iv.reason is _reference_reason(ordered, tid, iv.start,
+                                                      lookback_ns)
                 checked += 1
     assert checked > 1000
 
@@ -377,22 +389,27 @@ def test_classify_custom_lock_symbols():
 # --- summarize_waits ---
 
 
-def make_wait(tid, start_ns, end_ns, reason=WaitReason.LOCK,
-              kind=WaitKind.BLOCKED, stack=()):
-    return_reason = WaitReason.SCHEDULER_DELAY if kind is WaitKind.RUNNABLE else reason
-    from latprof.trace_model import WaitInterval
-    return WaitInterval(tid, start_ns, end_ns, kind,
-                        return_reason, stack)
+def make_wait(tid, start_ns, end_ns, reason=WaitReason.LOCK, stack=()):
+    """(tid, Sleeping interval) with the given wait reason."""
+    return tid, TimelineInterval(start_ns, end_ns, ThreadState.SLEEPING, stack, reason)
+
+
+def summarize(waits):
+    """summarize_waits over timelines holding the (tid, interval) waits."""
+    tls = Timelines()
+    for tid, iv in waits:
+        tls.by_tid.setdefault(tid, ThreadTimeline(tid)).intervals.append(iv)
+    return summarize_waits(tls)
 
 
 def test_summary_empty():
-    s = summarize_waits([])
+    s = summarize_waits(Timelines())
     assert s.by_tid_reason == {} and s.histogram == {}
 
 
 def test_summary_totals_add():
     waits = [make_wait(5, 0, 1_000_000), make_wait(5, 10_000_000, 13_000_000)]
-    s = summarize_waits(waits)
+    s = summarize(waits)
     assert s.by_tid_reason[(5, WaitReason.LOCK)] == 4_000_000
     assert s.by_tid_reason[(5, WaitReason.LOCK)] / 10**9 == 0.004
 
@@ -400,7 +417,7 @@ def test_summary_totals_add():
 def test_summary_log2_buckets():
     # oracle: floor(log2(d_us)); 3us -> k=1 in [2,4), 5us -> k=2 in [4,8)
     waits = [make_wait(1, 0, 3_000), make_wait(1, 10_000, 15_000)]
-    s = summarize_waits(waits)
+    s = summarize(waits)
     assert s.histogram == {1: 1, 2: 1}
 
 
@@ -409,5 +426,5 @@ def test_summary_log2_bucket_boundaries():
     rng = random.Random(3)
     for _ in range(500):
         ns = rng.randint(1, 10**10)
-        (bucket,) = summarize_waits([make_wait(1, 0, ns)]).histogram
+        (bucket,) = summarize([make_wait(1, 0, ns)]).histogram
         assert bucket == math.floor(math.log2(ns / 1000))

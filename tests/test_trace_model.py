@@ -6,9 +6,6 @@ from latprof.export import parse_csv, to_csv
 from latprof.trace_model import (
     Frame,
     TraceEvent,
-    WaitInterval,
-    WaitKind,
-    WaitReason,
     classify_event,
     format_ns,
     parse_ns,
@@ -122,32 +119,10 @@ def test_event_rejects_negative_time():
 
 
 def test_duration_exact_nanoseconds():
-    w = WaitInterval(1, parse_ns("1.000000000"), parse_ns("1.000000000"),
-                     WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert w.end - w.start == 0
-    w = WaitInterval(1, parse_ns("0.5"), parse_ns("2.0"),
-                     WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert w.end - w.start == 1_500_000_000
+    assert parse_ns("1.000000000") - parse_ns("1.000000000") == 0
+    assert parse_ns("2.0") - parse_ns("0.5") == 1_500_000_000
     # oracle: integer-nanosecond subtraction
     start = parse_ns("12345.678901")
     end = parse_ns("12345.678950")
     expected_ns = 12345_678_950_000 - 12345_678_901_000
-    w = WaitInterval(1, start, end, WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    assert w.end - w.start == expected_ns == 49_000
-
-
-def test_wait_interval_invariants():
-    with pytest.raises(ValueError):
-        WaitInterval(1, 5, 4, WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    with pytest.raises(ValueError):
-        WaitInterval(1, 0, 1, WaitKind.RUNNABLE, WaitReason.LOCK)
-    WaitInterval(1, 0, 1, WaitKind.RUNNABLE, WaitReason.SCHEDULER_DELAY)
-
-
-def test_wait_interval_rejects_negative_time():
-    with pytest.raises(ValueError, match="timestamp must be non-negative, got -2"):
-        WaitInterval(1, -2, 1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    with pytest.raises(ValueError, match="timestamp must be non-negative, got -2"):
-        WaitInterval(1, -2, -1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
-    with pytest.raises(ValueError, match="end precedes start"):
-        WaitInterval(1, 0, -1, WaitKind.BLOCKED, WaitReason.UNKNOWN)
+    assert end - start == expected_ns == 49_000
