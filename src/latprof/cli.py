@@ -28,9 +28,7 @@ from .graph_core import Graph, GraphError, critical_path, detect_cycles, \
 _ANALYSIS_ERRORS = (
     parsers.ParseError,
     GraphError,
-    profile_agg.NoSamples,
     export.BadIndexName,
-    export.EmptyInput,
     simgen.ConfigError,
     ValueError,
     OSError,
@@ -197,10 +195,7 @@ def cmd_parse(args) -> int:
 
 def cmd_report(args) -> int:
     events = _load_events(args)
-    try:
-        profile = profile_agg.flat_profile(events, group_by=args.group_by)
-    except profile_agg.NoSamples:
-        profile = []
+    profile = profile_agg.flat_profile(events, group_by=args.group_by)
     summary, _ = _offcpu_waits(args, events)
     _write_output(export.render_text_report(profile, summary, top_n=args.top), args.out)
     return 0
@@ -223,8 +218,8 @@ def cmd_locks(args) -> int:
             elif fmt == "acquisitions":
                 acqs = lock_analysis.read_acquisitions_csv(text)
                 stats = lock_analysis.contention_stats(acqs)
-                graph = lock_analysis.build_lock_order_graph(acqs)
-                cycles = lock_analysis.detect_deadlock_risk(graph, max_len=args.max_len)
+                cycles = detect_cycles(lock_analysis.build_lock_order_graph(acqs),
+                                       max_len=args.max_len)
                 lines.extend(export.render_lock_table(stats))
                 lines.append("")
                 lines.append("=== Lock-order cycles (deadlock risk) ===")
@@ -327,10 +322,7 @@ def cmd_export(args) -> int:
         _write_output(export.to_bulk_ndjson(sched_analysis.canonical_sort(events),
                                             index_name=args.index), args.out)
     else:
-        try:
-            profile = profile_agg.flat_profile(events)
-        except profile_agg.NoSamples:
-            profile = []
+        profile = profile_agg.flat_profile(events)
         histogram = export.events_per_second(events, args.bin_width) if events else None
         pie = export.utilization_pie(events) if events else None
         summary = None  # no sched events: no wait sections

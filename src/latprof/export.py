@@ -32,10 +32,6 @@ class BadIndexName(Exception):
     pass
 
 
-class EmptyInput(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class EventRecord:
     """Flattened event projection used by the CSV and bulk formats."""
@@ -200,23 +196,15 @@ def events_per_second(events, bin_width=1) -> HistogramView:
     )
 
 
-@dataclass
-class PieView:
-    """Utilization fractions per comm; fractions sum to 1."""
-
-    slices: dict = field(default_factory=dict)
-
-
-def utilization_pie(events) -> PieView:
-    """Fractions of event count (period weight for samples) per comm."""
+def utilization_pie(events) -> dict:
+    """{comm: fraction} of event count (period weight for samples), in comm
+    order; the fractions sum to 1, and no events give {}."""
     weights: dict = {}
     for ev in events:
         weight = ev.period if ev.event_class == "cpu-clock" else 1
         weights[ev.comm] = weights.get(ev.comm, 0) + weight
-    if not weights:
-        raise EmptyInput("no events to summarize")
     total = sum(weights.values())
-    return PieView(slices={k: Fraction(w, total) for k, w in sorted(weights.items())})
+    return {k: Fraction(w, total) for k, w in sorted(weights.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +308,7 @@ def render_offcpu_report(wait_summary, comms, top_n: int = 20) -> str:
 
 
 def to_report_json(profile=None, wait_summary=None,
-                   histogram: HistogramView = None, pie: PieView = None) -> str:
+                   histogram: HistogramView = None, pie: dict = None) -> str:
     """One JSON document bundling every dashboard view."""
     doc: dict = {}
     if profile is not None:
@@ -353,7 +341,7 @@ def to_report_json(profile=None, wait_summary=None,
     if pie is not None:
         doc["utilization"] = [
             {"key": key, "fraction": float(fraction)}
-            for key, fraction in pie.slices.items()
+            for key, fraction in pie.items()
         ]
     return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=True) + "\n"
 

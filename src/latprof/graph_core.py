@@ -41,15 +41,14 @@ class Graph:
     """A weighted graph; at most one edge per node pair.
 
     Node ids are opaque orderable tokens (text from edge lists, integers
-    for lock ids).  Undirected graphs store each edge once under its
-    sorted endpoint pair.  Negative weights are rejected at construction
-    time.
+    for lock ids).  Undirected graphs store each edge under both
+    endpoints and list it once, under its sorted endpoint pair.  Negative
+    weights are rejected at construction time.
     """
 
     def __init__(self, directed: bool = True):
         self.directed = directed
         self._adj: dict = {}  # node -> {neighbor: weight}
-        self._weights: dict = {}  # canonical (u, v) -> weight
 
     def add_node(self, node: str) -> None:
         self._adj.setdefault(node, {})
@@ -61,11 +60,8 @@ class Graph:
         self.add_node(u)
         self.add_node(v)
         self._adj[u][v] = w
-        if self.directed:
-            self._weights[(u, v)] = w
-        else:
+        if not self.directed:
             self._adj[v][u] = w
-            self._weights[(min(u, v), max(u, v))] = w
 
     @property
     def nodes(self):
@@ -73,7 +69,9 @@ class Graph:
 
     def edges(self):
         """Edges as (u, v, weight), canonical order."""
-        return [(u, v, self._weights[(u, v)]) for u, v in sorted(self._weights)]
+        adj = self._adj
+        return [(u, v, w) for u in sorted(adj) for v, w in sorted(adj[u].items())
+                if self.directed or u <= v]
 
     def neighbors(self, node: str) -> dict:
         return self._adj.get(node, {})

@@ -5,21 +5,22 @@ coming from the simulator or from external tooling via the acquisitions
 CSV.  The mutrace text format only carries aggregate rows, so the mutrace
 parser yields MutexStats directly and never feeds this module.
 
-The lock-order graph draws an edge A->B each time a thread is granted B
-while still holding A; elementary cycles in that graph are the classic
-deadlock-risk signal.  "Changed" is defined as the owner-change count:
-the number of grants whose tid differs from the previous grant's tid on
-the same lock.
+The lock-order graph is a directed `graph_core.Graph` with one node per
+lock and an edge A->B weighted by the number of times a thread was
+granted B while still holding A; its elementary cycles, found by
+`graph_core.detect_cycles`, are the classic deadlock-risk signal.
+"Changed" is defined as the owner-change count: the number of grants
+whose tid differs from the previous grant's tid on the same lock.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import Graph, detect_cycles
+from .graph_core import Graph
 from .parsers import MalformedRow, MutexStats
 from .trace_model import format_ns, parse_ns
 
@@ -82,57 +83,34 @@ def contention_stats(acquisitions) -> list:
     return stats
 
 
-@dataclass
-class LockOrderGraph:
-    """Directed held->acquired edges with occurrence counts.
-
-    Re-entrant acquisitions (same lock already held) never create
-    self-edges; they are tallied separately per lock.
-    """
-
-    edges: dict = field(default_factory=dict)  # (held, acquired) -> count
-    nodes: set = field(default_factory=set)
-    reentrant: dict = field(default_factory=dict)  # lock_id -> count
-
-
-def build_lock_order_graph(acquisitions) -> LockOrderGraph:
-    """Edge A->B for each grant of B by a thread still holding A.
+def build_lock_order_graph(acquisitions) -> Graph:
+    """Directed graph with an edge A->B, weighted by how many grants of B
+    came to a thread still holding A.
 
     Within a thread, grants at equal timestamps keep their input order,
     so program order decides nesting when the stream came from
-    instantaneous (uncontended) acquisitions.
+    instantaneous (uncontended) acquisitions.  A re-entrant grant (the
+    lock already held) makes no self-edge.
     """
-    graph = LockOrderGraph()
+    graph = Graph(directed=True)
     by_tid: dict[int, list] = {}
     for acq in sorted(acquisitions, key=lambda a: a.grant_ts):
-        graph.nodes.add(acq.lock_id)
+        graph.add_node(acq.lock_id)
         by_tid.setdefault(acq.tid, []).append(acq)
 
+    counts: dict = {}  # (held, acquired) -> grants
     for tid in sorted(by_tid):
         held: list = []
         for acq in by_tid[tid]:
             held = [b for b in held if b.release_ts > acq.grant_ts]
             for b in held:
-                if b.lock_id == acq.lock_id:
-                    graph.reentrant[acq.lock_id] = graph.reentrant.get(acq.lock_id, 0) + 1
-                else:
+                if b.lock_id != acq.lock_id:
                     key = (b.lock_id, acq.lock_id)
-                    graph.edges[key] = graph.edges.get(key, 0) + 1
+                    counts[key] = counts.get(key, 0) + 1
             held.append(acq)
+    for (held_id, acquired), count in counts.items():
+        graph.add_edge(held_id, acquired, count)
     return graph
-
-
-def detect_deadlock_risk(graph: LockOrderGraph, max_len: int = 8) -> list:
-    """All elementary lock-order cycles up to max_len, canonical rotation.
-
-    An empty list means no deadlock risk was detected.
-    """
-    g = Graph(directed=True)
-    for node in graph.nodes:
-        g.add_node(node)
-    for (held, acquired), count in graph.edges.items():
-        g.add_edge(held, acquired, count)
-    return detect_cycles(g, max_len=max_len)
 
 
 # ---------------------------------------------------------------------------

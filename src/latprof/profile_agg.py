@@ -14,10 +14,6 @@ from fractions import Fraction
 UNKNOWN = "[unknown]"
 
 
-class NoSamples(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FlatProfileRow:
     """One aggregated profile row; key components not grouped on are None."""
@@ -46,7 +42,7 @@ def flat_profile(events, group_by=("comm", "dso", "symbol")):
 
     `group_by` selects any subset of (comm, dso, symbol); the leaf frame
     supplies dso and symbol.  Rows come back sorted by percent descending,
-    ties by key ascending.  Raises NoSamples when there are no samples.
+    ties by key ascending; no samples give no rows.
     """
     group_by = set(group_by)
     counts = {}
@@ -62,8 +58,6 @@ def flat_profile(events, group_by=("comm", "dso", "symbol")):
         )
         counts[key] = counts.get(key, 0) + 1
         weights[key] = weights.get(key, 0) + ev.period
-    if not counts:
-        raise NoSamples("no cpu-clock sample events")
     total = sum(weights.values())
     rows = [
         FlatProfileRow(

@@ -109,8 +109,7 @@ def _kind_rank(event) -> int:
     if name.startswith("sched_wakeup") or name == "sched_waking":
         return 0
     if name == "sched_switch":
-        next_pid = event.args.get("next_pid", "")
-        if next_pid.isdecimal() and int(next_pid) > 0:
+        if (_int_arg(event, "next_pid") or 0) > 0:
             return 2  # switches a thread in
         return 3  # pure switch-out (to idle)
     return 1
@@ -123,8 +122,13 @@ def canonical_sort(events) -> list:
 
 
 def _int_arg(event, key) -> int | None:
+    """The payload value under `key` as an int; None for a non-number,
+    including a run of digits longer than `int()` accepts."""
     value = event.args.get(key, "")
-    return int(value) if value.isdecimal() else None
+    try:
+        return int(value) if value.isdecimal() else None
+    except ValueError:  # past the int-string digit limit
+        return None
 
 
 class _ThreadMachine:

@@ -15,8 +15,10 @@ slot pool (held from the empty/full WAIT grant until the complementary
 SIGNAL) and the mutex.  Under the default wait order both thread kinds
 nest slot-then-mutex; the deadlock-prone variant (--inverted-wait-order)
 makes producers take the mutex first, which is a classic lock-order
-inversion against the consumers and shows up as a cycle in the lock-order
-graph.
+inversion against the consumers.  It shows up as a cycle in the
+lock-order graph only when both nestings were granted before the run
+wedged: the requests that wedge are never granted, so they are never
+acquisition rows.
 
 Conventions: virtual-time ties execute in (time, tid) order; a WAIT whose
 grant arrives at the very instant it blocked is coalesced into an

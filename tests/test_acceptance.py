@@ -32,7 +32,7 @@ from latprof.graph_core import (
     shortest_path,
     topo_sort,
 )
-from latprof.lock_analysis import build_lock_order_graph, detect_deadlock_risk
+from latprof.lock_analysis import build_lock_order_graph
 from latprof.parsers import (
     parse_gprof_flat,
     parse_mutrace,
@@ -201,8 +201,8 @@ def test_criterion_3_conservation_suites():
         for _ in range(1000):  # pie normalization within 1e-9
             events = _random_samples(rng)
             pie = utilization_pie(events)
-            assert abs(sum(float(f) for f in pie.slices.values()) - 1.0) <= 1e-9
-            assert sum(pie.slices.values()) == 1
+            assert abs(sum(float(f) for f in pie.values()) - 1.0) <= 1e-9
+            assert sum(pie.values()) == 1
 
         for _ in range(1000):  # call-graph exclusive-sum conservation
             events = _random_samples(rng)
@@ -357,8 +357,7 @@ def test_criterion_5_deadlock_demonstration():
             result = simulate(SimConfig(seed=seed, inverted_wait_order=True, **base))
             if result.truth.deadlocked:
                 deadlocked += 1
-                graph = build_lock_order_graph(result.acquisitions)
-                if detect_deadlock_risk(graph):
+                if detect_cycles(build_lock_order_graph(result.acquisitions)):
                     deadlocked_with_cycle += 1
         assert deadlocked >= 1, "no inverted-order seed reached deadlock"
         assert deadlocked_with_cycle >= 1, \
@@ -368,8 +367,7 @@ def test_criterion_5_deadlock_demonstration():
             result = simulate(SimConfig(seed=seed, inverted_wait_order=False, **base))
             assert not result.truth.deadlocked
             assert result.truth.completion_ns is not None
-            assert detect_deadlock_risk(
-                build_lock_order_graph(result.acquisitions)) == []
+            assert detect_cycles(build_lock_order_graph(result.acquisitions)) == []
     except BaseException:
         verdict(False)
         raise

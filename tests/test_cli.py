@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latprof import cli
 from latprof.cli import main
 from latprof.export import render_perf_script
+from latprof.lock_analysis import write_acquisitions_csv
 from latprof.parsers import ParseError
 from latprof.simgen import simulate
 
@@ -528,15 +529,22 @@ def test_waking_then_wakeup_is_one_wake(tmp_path, capsys):
 
 
 def test_offcpu_non_ascii_digit_pid_is_not_a_pid(tmp_path, capsys):
-    # "²".isdigit() holds but int() rejects it: such a next_pid must read
-    # as a non-number, like "abc", not abort the analysis
-    outputs = []
-    for next_pid in ("²", "abc"):
-        path = tmp_path / "trace.txt"
-        path.write_text(IDLE_WAKE_TRACE.replace("next_pid=0 ", f"next_pid={next_pid} ", 1),
-                        encoding="utf-8")
-        outputs.append(run(capsys, "offcpu", "--input", str(path)))
-    assert outputs[0] == outputs[1] == (0, IDLE_WAKE_OFFCPU, "")
+    # "²".isdigit() holds but int() rejects it, as it rejects a run of more
+    # than 4300 digits: a sched pid holding either must read as a
+    # non-number, like "abc", not abort the analysis or the export's sort
+    for field in ("next_pid=0 ", "prev_pid=100 ", " pid=100 "):
+        pid = field.strip().split("=")[1]
+        outputs = []
+        for value in ("²", "9" * 5000, "abc"):
+            path = tmp_path / "trace.txt"
+            path.write_text(IDLE_WAKE_TRACE.replace(field, field.replace(pid, value), 1),
+                            encoding="utf-8")
+            outputs.append([run(capsys, *verb, "--input", str(path))
+                            for verb in (["offcpu"], ["export", "--format", "csv"])])
+        assert outputs[0] == outputs[1] == outputs[2], field
+        assert [code for code, _, _ in outputs[2]] == [0, 0], field
+        if field == "next_pid=0 ":  # a switch to a non-number is one to idle
+            assert outputs[2][0] == (0, IDLE_WAKE_OFFCPU, "")
 
 
 @pytest.fixture
@@ -779,6 +787,51 @@ def test_stdout_digests(tmp_path, capsys, name):
         assert code == 0, verb
         digests[verb] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == STDOUT_DIGESTS[name]
+
+
+# sha256 of `locks` stdout on each GOLDEN_RUNS acquisitions CSV, recorded
+# before the lock-order graph became a graph_core.Graph
+LOCKS_DIGESTS = {
+    "hand-traced": "d2057ddea94f8f99fb9d04d2b9521e7f03ff9db06b62bebadfbc4b2ca8fe5bab",
+    "inverted-deadlock": "f04c9e8bc456b5327f491728b0bd90ec14a721e86432a0695ee7dabbf94a55c5",
+    "jittered-multi-queue": "efd080c44d11964ecf63b604f411b015f8f319328236aa6cd4e737906e2453c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKS_DIGESTS))
+def test_locks_stdout_digests(tmp_path, capsys, name):
+    path = tmp_path / "acq.csv"
+    path.write_text(write_acquisitions_csv(
+        simulate(small_cfg(**GOLDEN_RUNS[name][0])).acquisitions))
+    code, out, err = run(capsys, "locks", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCKS_DIGESTS[name]
+    cycles = out.split("=== Lock-order cycles (deadlock risk) ===\n")[1]
+    assert cycles == ("0 -> 1 -> 0\n" if name == "inverted-deadlock"
+                      else "(none detected)\n")
+
+
+# one cyclic edge list with fractional weights, through every graph mode
+GRAPH_EDGES = "a b 3\nb c 4\nc a 5\nc d 1/2\nd b 2\nd e 1\ne a 0.5\nb e 7\n"
+GRAPH_OUTPUTS = {
+    "cycles": (["--cycles"], 0,
+               "a -> b -> c -> a\na -> b -> e -> a\nb -> c -> d -> b\n"
+               "a -> b -> c -> d -> e -> a\n", ""),
+    "critical-path": (["--critical-path", "a"], 1,
+                      "", "latprof: error: graph contains a cycle: a -> b -> c\n"),
+    "shortest": (["--shortest", "a", "e"], 0,
+                 "a -> b -> c -> d -> e\ndistance: 17/2\n", ""),
+    "mst": (["--undirected", "--mst"], 0,
+            "a e 1/2\nb d 2\nc d 1/2\nd e 1\ntotal weight: 4\n", ""),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_OUTPUTS))
+def test_graph_outputs(tmp_path, capsys, mode):
+    path = tmp_path / "edges.txt"
+    path.write_text(GRAPH_EDGES)
+    argv, *expected = GRAPH_OUTPUTS[mode]
+    assert list(run(capsys, "graph", "--input", str(path), *argv)) == expected
 
 
 def test_every_wait_verb_counts_contradictory_transitions(tmp_path, capsys):

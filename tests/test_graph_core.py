@@ -380,6 +380,11 @@ def test_parse_edge_list():
 def test_parse_edge_list_undirected():
     g = Graph.parse_edge_list("x y 2\n", directed=False)
     assert g.weight("y", "x") == 2
+    assert g.edges() == [("x", "y", 2)]
+    # the same edge re-added in reverse is listed once, with its new weight
+    g = Graph.parse_edge_list("x y 2\ny x 5\n", directed=False)
+    assert g.edges() == [("x", "y", 5)]
+    assert g.weight("x", "y") == g.weight("y", "x") == 5
 
 
 def test_parse_edge_list_errors():

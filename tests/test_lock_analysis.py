@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from latprof.graph_core import detect_cycles
 from latprof.lock_analysis import (
     LockAcquisition,
     build_lock_order_graph,
     contention_stats,
-    detect_deadlock_risk,
     read_acquisitions_csv,
     write_acquisitions_csv,
 )
@@ -157,12 +157,14 @@ def test_nested_acquisition_edge():
         acq(1, 11, 2.0, 2.0, 2.5),  # grabs B while holding A
     ]
     g = build_lock_order_graph(acqs)
-    assert g.edges == {(10, 11): 1}
+    assert g.directed
+    assert g.nodes == [10, 11]
+    assert g.edges() == [(10, 11, 1)]
 
 
 def test_disjoint_acquisitions_no_edges():
     acqs = [acq(1, 10, 1.0, 1.0, 1.5), acq(1, 11, 2.0, 2.0, 2.5)]
-    assert build_lock_order_graph(acqs).edges == {}
+    assert build_lock_order_graph(acqs).edges() == []
 
 
 def test_cross_order_produces_both_edges():
@@ -173,17 +175,17 @@ def test_cross_order_produces_both_edges():
         acq(2, 10, 5.0, 5.0, 5.5),
     ]
     g = build_lock_order_graph(acqs)
-    assert g.edges == {(10, 11): 1, (11, 10): 1}
+    assert g.edges() == [(10, 11, 1), (11, 10, 1)]
 
 
-def test_reentrant_acquisition_tally_not_self_edge():
+def test_reentrant_acquisition_makes_no_self_edge():
     acqs = [
         acq(1, 10, 1.0, 1.0, 5.0),
         acq(1, 10, 2.0, 2.0, 3.0),
     ]
     g = build_lock_order_graph(acqs)
-    assert g.edges == {}
-    assert g.reentrant == {10: 1}
+    assert g.nodes == [10]
+    assert g.edges() == []
 
 
 def test_equal_grant_times_keep_program_order():
@@ -192,7 +194,18 @@ def test_equal_grant_times_keep_program_order():
         acq(1, 11, 1.0, 1.0, 2.0),  # same instant, later in program order
     ]
     g = build_lock_order_graph(acqs)
-    assert g.edges == {(10, 11): 1}
+    assert g.edges() == [(10, 11, 1)]
+
+
+def test_edge_weight_counts_grants():
+    # two grants of 11 under 10 (one per thread) weigh the edge 2
+    acqs = [
+        acq(1, 10, 1.0, 1.0, 3.0),
+        acq(1, 11, 2.0, 2.0, 2.5),
+        acq(2, 10, 4.0, 4.0, 6.0),
+        acq(2, 11, 5.0, 5.0, 5.5),
+    ]
+    assert build_lock_order_graph(acqs).edges() == [(10, 11, 2)]
 
 
 def test_deadlock_risk_two_cycle():
@@ -202,7 +215,7 @@ def test_deadlock_risk_two_cycle():
         acq(2, 2, 4.0, 4.0, 6.0),
         acq(2, 1, 5.0, 5.0, 5.5),
     ]
-    cycles = detect_deadlock_risk(build_lock_order_graph(acqs))
+    cycles = detect_cycles(build_lock_order_graph(acqs))
     assert cycles == [[1, 2]]
 
 
@@ -213,7 +226,7 @@ def test_deadlock_risk_dag_is_empty():
         acq(2, 2, 4.0, 4.0, 6.0),
         acq(2, 3, 5.0, 5.0, 5.5),
     ]
-    assert detect_deadlock_risk(build_lock_order_graph(acqs)) == []
+    assert detect_cycles(build_lock_order_graph(acqs)) == []
 
 
 def test_deadlock_risk_matches_brute_force_on_random_digraphs():
@@ -233,12 +246,12 @@ def test_deadlock_risk_matches_brute_force_on_random_digraphs():
             acqs.append(LockAcquisition(tid, v, t + 1, t + 1,
                                         t + 2))
         log = build_lock_order_graph(acqs)
-        assert set(log.edges) == set(graph_edges)
-        cycles = detect_deadlock_risk(log, max_len=8)
+        assert {(u, v) for u, v, _ in log.edges()} == set(graph_edges)
+        cycles = detect_cycles(log, max_len=8)
         # brute force: check every rotationally-canonical node tuple
-        nodes = sorted(log.nodes)
+        nodes = log.nodes
         expected = []
-        adjacency = {u: {v for (a, v) in log.edges if a == u} for u in nodes}
+        adjacency = {u: {v for (a, v) in graph_edges if a == u} for u in nodes}
         for size in range(2, min(8, len(nodes)) + 1):
             for subset in itertools.combinations(nodes, size):
                 first = subset[0]

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from latprof.export import render_perf_script
+from latprof.graph_core import detect_cycles
 from latprof.lock_analysis import (
     LockAcquisition,
     build_lock_order_graph,
-    detect_deadlock_risk,
     write_acquisitions_csv,
 )
 from latprof.simgen import (
@@ -188,8 +188,7 @@ def test_inverted_order_deadlocks_and_shows_cycle():
                                  inverted_wait_order=True))
         if res.truth.deadlocked:
             deadlocked.append(seed)
-            graph = build_lock_order_graph(res.acquisitions)
-            if detect_deadlock_risk(graph):
+            if detect_cycles(build_lock_order_graph(res.acquisitions)):
                 cycles_found.append(seed)
     assert deadlocked, "no seed deadlocked"
     assert cycles_found, "no deadlocked stream produced a lock-order cycle"
@@ -204,16 +203,15 @@ def test_inverted_order_acquisitions_cross_nest():
     assert res.truth.deadlocked is False
     graph = build_lock_order_graph(res.acquisitions)
     slots, mutex = slots_lock_id(0), mutex_lock_id(0)
-    assert (mutex, slots) in graph.edges
-    assert (slots, mutex) in graph.edges
-    assert detect_deadlock_risk(graph) == [[slots, mutex]]
+    assert mutex in graph.neighbors(slots)
+    assert slots in graph.neighbors(mutex)
+    assert detect_cycles(graph) == [[slots, mutex]]
 
 
 def test_default_order_graph_is_acyclic():
     res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
                              items_per_producer=5))
-    graph = build_lock_order_graph(res.acquisitions)
-    assert detect_deadlock_risk(graph) == []
+    assert detect_cycles(build_lock_order_graph(res.acquisitions)) == []
 
 
 # sha256 of (perf-script text, truth JSON, acquisitions CSV), recorded
