@@ -18,18 +18,19 @@ import contextlib
 import gc
 import itertools
 import math
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
 
-from . import export, lock_analysis, parsers, profile_agg, sched_analysis, simgen
-from .graph_core import Graph, GraphError, critical_path, detect_cycles, \
-    minimum_spanning_tree, shortest_path
+# the analysis modules are imported by the verbs that use them, so that a
+# run compiles and loads only what its verb needs
+from . import export, parsers
 
+# graph_core.GraphError and simgen.ConfigError are ValueErrors
 _ANALYSIS_ERRORS = (
     parsers.ParseError,
-    GraphError,
     export.BadIndexName,
-    simgen.ConfigError,
     ValueError,
     OSError,
 )
@@ -122,29 +123,38 @@ def _detect(name: str, source, override) -> str:
     return fmt
 
 
+def _note_malformed(name: str, errors: list) -> None:
+    if errors:
+        print(f"{name}: {len(errors)} malformed lines skipped", file=sys.stderr)
+
+
 def _parse_perf(name: str, lines, strict: bool) -> list:
     """The events of one perf-script input; malformed lines are counted on
     stderr (or, when strict, raised)."""
     result = parsers.parse_perf_lines(lines, strict=strict)
-    if result.errors:
-        print(f"{name}: {len(result.errors)} malformed lines skipped", file=sys.stderr)
+    _note_malformed(name, result.errors)
     return result.events
 
 
-def _load_events(args) -> list:
+def _perf_lines(name: str, stream, args):
+    """The lines of one input, which must be perf-script text."""
+    fmt, lines = _sniffed_lines(name, stream, getattr(args, "format", None))
+    if fmt != "perf":
+        raise parsers.ParseError(f"{name}: expected perf-script text, detected {fmt}")
+    return lines
+
+
+def _load_events(args, inputs) -> list:
     """Parse perf-script inputs into one event list, in input order."""
     events = []
-    with _open_inputs(args.input) as inputs:
-        for name, stream in inputs:
-            fmt, lines = _sniffed_lines(name, stream, getattr(args, "format", None))
-            if fmt != "perf":
-                raise parsers.ParseError(
-                    f"{name}: expected perf-script text, detected {fmt}")
-            events.extend(_parse_perf(name, lines, args.strict))
+    for name, stream in inputs:
+        events.extend(_parse_perf(name, _perf_lines(name, stream, args), args.strict))
     return events
 
 
 def _analysis_config(args) -> sched_analysis.AnalysisConfig:
+    from . import sched_analysis
+
     lock_symbols = sched_analysis.DEFAULT_LOCK_SYMBOLS
     if getattr(args, "lock_symbols", None):
         lock_symbols = frozenset(s for s in args.lock_symbols.split(",") if s)
@@ -155,15 +165,72 @@ def _analysis_config(args) -> sched_analysis.AnalysisConfig:
                                          lookback_ns=lookback)
 
 
-def _offcpu_waits(args, events) -> tuple:
-    """(wait summary, tid -> comm) of the events' scheduler timelines; the
-    contradictory transitions the walk ignored are counted on stderr."""
-    timelines = sched_analysis.build_timelines(events, _analysis_config(args))
-    if timelines.anomalies:
-        print(f"{timelines.anomalies} contradictory scheduler transitions ignored",
+def _spooled(stream):
+    """A rewound temporary file holding the rest of `stream`'s bytes."""
+    spool = tempfile.TemporaryFile()
+    shutil.copyfileobj(stream, spool)
+    spool.seek(0)
+    return spool
+
+
+def _fold_events(args, start) -> list:
+    """Feed every perf-script event of the inputs, in canonical order, to
+    the folds `start()` returns (objects with an `add(event)` method),
+    and return those folds.
+
+    When every input is in time order, events stream from the parse
+    through `canonical_stream` into the folds, and no event list is held;
+    the inputs share one `PerfInterns`.  When one steps back in time, the
+    inputs are read again from their start: every event is loaded and
+    `canonical_sort`ed, and fresh folds from `start()` are fed that, so
+    the result is the same.  A stream that cannot seek back (a pipe) is
+    first copied to a temporary file.  Malformed-line counts go to stderr
+    in input order either way.
+    """
+    from . import sched_analysis
+
+    with _open_inputs(args.input) as inputs, contextlib.ExitStack() as spools:
+        # a stream given twice ('-' twice) is read once, as loading reads it
+        if len({id(stream) for _, stream in inputs}) == len(inputs):
+            inputs = [(name, stream if stream.seekable()
+                       else spools.enter_context(_spooled(stream)))
+                      for name, stream in inputs]
+            starts = [stream.tell() for _, stream in inputs]
+            interns = parsers.PerfInterns()
+            errors = [[] for _ in inputs]
+            events = sched_analysis.canonical_stream([
+                parsers.perf_events(_perf_lines(name, stream, args), errs,
+                                    args.strict, interns)
+                for (name, stream), errs in zip(inputs, errors)])
+            folds = start()
+            try:
+                _feed(events, folds)
+            except sched_analysis.OutOfOrder:
+                for (_, stream), pos in zip(inputs, starts):
+                    stream.seek(pos)
+            else:
+                for (name, _), errs in zip(inputs, errors):
+                    _note_malformed(name, errs)
+                return folds
+        folds = start()
+        _feed(sched_analysis.canonical_sort(_load_events(args, inputs)), folds)
+        return folds
+
+
+def _feed(events, folds) -> None:
+    adds = [fold.add for fold in folds]
+    for ev in events:
+        for add in adds:
+            add(ev)
+
+
+def _finish_walk(walk) -> None:
+    """Close the walk's open intervals and count on stderr the
+    contradictory transitions it ignored."""
+    walk.finish()
+    if walk.anomalies:
+        print(f"{walk.anomalies} contradictory scheduler transitions ignored",
               file=sys.stderr)
-    summary = sched_analysis.summarize_waits(timelines)
-    return summary, {tid: timeline.comm for tid, timeline in timelines.by_tid.items()}
 
 
 # --- subcommands ---
@@ -194,20 +261,32 @@ def cmd_parse(args) -> int:
 
 
 def cmd_report(args) -> int:
-    events = _load_events(args)
-    profile = profile_agg.flat_profile(events, group_by=args.group_by)
-    summary, _ = _offcpu_waits(args, events)
-    _write_output(export.render_text_report(profile, summary, top_n=args.top), args.out)
+    from . import profile_agg, sched_analysis
+
+    config = _analysis_config(args)
+    walk, profile = _fold_events(args, lambda: [
+        sched_analysis.SchedWalk(config), profile_agg.FlatProfile(args.group_by)])
+    _finish_walk(walk)
+    _write_output(export.render_text_report(profile.rows(), walk.summary,
+                                            top_n=args.top), args.out)
     return 0
 
 
 def cmd_offcpu(args) -> int:
-    summary, comms = _offcpu_waits(args, _load_events(args))
-    _write_output(export.render_offcpu_report(summary, comms, args.top), args.out)
+    from . import sched_analysis
+
+    config = _analysis_config(args)
+    [walk] = _fold_events(args, lambda: [sched_analysis.SchedWalk(config)])
+    _finish_walk(walk)
+    _write_output(export.render_offcpu_report(walk.summary, walk.comms(), args.top),
+                  args.out)
     return 0
 
 
 def cmd_locks(args) -> int:
+    from . import lock_analysis
+    from .graph_core import detect_cycles
+
     lines = []
     with _open_inputs(args.input) as inputs:
         for name, stream in inputs:
@@ -236,6 +315,9 @@ def cmd_locks(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .graph_core import Graph, GraphError, critical_path, detect_cycles, \
+        minimum_spanning_tree, shortest_path
+
     if args.input and len(args.input) > 1:
         print("latprof graph: error: graph takes one --input", file=sys.stderr)
         return 2
@@ -269,6 +351,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import lock_analysis, simgen
+
     cfg = simgen.SimConfig(
         producers=args.producers,
         consumers=args.consumers,
@@ -313,22 +397,41 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    events = _load_events(args)
-    # CSV and bulk rows follow event order; every other output sorts inside
-    # build_timelines or does not depend on order
-    if args.export_format == "csv":
-        _write_output(export.to_csv(sched_analysis.canonical_sort(events)), args.out)
-    elif args.export_format == "bulk":
-        _write_output(export.to_bulk_ndjson(sched_analysis.canonical_sort(events),
-                                            index_name=args.index), args.out)
-    else:
-        profile = profile_agg.flat_profile(events)
-        histogram = export.events_per_second(events, args.bin_width) if events else None
-        pie = export.utilization_pie(events) if events else None
-        summary = None  # no sched events: no wait sections
-        if any(ev.event_class == "sched" for ev in events):
-            summary, _ = _offcpu_waits(args, events)
-        _write_output(export.to_report_json(profile, summary, histogram, pie), args.out)
+    from . import profile_agg, sched_analysis
+
+    if args.export_format in ("csv", "bulk"):
+        # rows follow canonical event order
+        with _open_inputs(args.input) as inputs:
+            events = sched_analysis.canonical_sort(_load_events(args, inputs))
+        if args.export_format == "csv":
+            _write_output(export.to_csv(events), args.out)
+        else:
+            _write_output(export.to_bulk_ndjson(events, index_name=args.index),
+                          args.out)
+        return 0
+
+    config = _analysis_config(args)
+    try:
+        export.EventCounts(args.bin_width)
+        width_error = None
+    except ValueError as exc:  # an error only once there are events to bin
+        width_error = exc
+
+    def start():
+        folds = [sched_analysis.SchedWalk(config), profile_agg.FlatProfile()]
+        return folds + ([export.EventCounts(args.bin_width)] if width_error is None else [])
+
+    walk, profile, *counts = _fold_events(args, start)
+    histogram = pie = summary = None  # no events: no histogram and no pie
+    if walk.origin is not None:
+        if width_error is not None:
+            raise width_error
+        histogram, pie = counts[0].histogram(), counts[0].pie()
+    if walk.saw_sched:  # no sched events: no wait sections
+        _finish_walk(walk)
+        summary = walk.summary
+    _write_output(export.to_report_json(profile.rows(), summary, histogram, pie),
+                  args.out)
     return 0
 
 

@@ -175,36 +175,65 @@ class HistogramView:
         return sum(sum(counts.values()) for _, counts in self.bins)
 
 
+class EventCounts:
+    """Per-comm event counts folded one event at a time, in canonical
+    order (the first event added is the trace origin): `add` each event,
+    then read `histogram()` and `pie()`.  A bin width that is not positive
+    or not a whole number of ns is a ValueError here."""
+
+    def __init__(self, bin_width=1, origin: int | None = None):
+        self.bin_width = Fraction(bin_width)
+        if self.bin_width <= 0:
+            raise ValueError("bin width must be positive")
+        width_ns = self.bin_width * NS_PER_SEC
+        if width_ns.denominator != 1:
+            raise ValueError(f"bin width {bin_width!r} not representable in ns")
+        self._width_ns = int(width_ns)
+        self._origin = origin
+        self._bins = {}  # bin index -> {comm: count}
+        self._weights = {}  # comm -> event count, period weight for samples
+
+    def add(self, ev) -> None:
+        if self._origin is None:
+            self._origin = ev.ts
+        index = (ev.ts - self._origin) // self._width_ns
+        counts = self._bins.get(index)
+        if counts is None:
+            counts = self._bins[index] = {}
+        counts[ev.comm] = counts.get(ev.comm, 0) + 1
+        weight = ev.period if ev.event_class == "cpu-clock" else 1
+        self._weights[ev.comm] = self._weights.get(ev.comm, 0) + weight
+
+    def histogram(self) -> HistogramView:
+        """Events per time bin, keyed by comm, bins in time order."""
+        return HistogramView(
+            bin_width=self.bin_width,
+            bins=[(index * self.bin_width, self._bins[index])
+                  for index in sorted(self._bins)],
+        )
+
+    def pie(self) -> dict:
+        """{comm: fraction} of event count (period weight for samples), in
+        comm order; the fractions sum to 1, and no events give {}."""
+        total = sum(self._weights.values())
+        return {k: Fraction(w, total) for k, w in sorted(self._weights.items())}
+
+
 def events_per_second(events, bin_width=1) -> HistogramView:
     """Histogram of event counts per time bin, keyed by comm."""
-    width = Fraction(bin_width)
-    if width <= 0:
-        raise ValueError("bin width must be positive")
-    width_ns = width * NS_PER_SEC
-    if width_ns.denominator != 1:
-        raise ValueError(f"bin width {bin_width!r} not representable in ns")
-    width_ns = int(width_ns)
-    origin = _origin_ns(events)
-    by_bin: dict = {}
+    counts = EventCounts(bin_width, _origin_ns(events))
     for ev in events:
-        index = (ev.ts - origin) // width_ns
-        counts = by_bin.setdefault(index, {})
-        counts[ev.comm] = counts.get(ev.comm, 0) + 1
-    return HistogramView(
-        bin_width=width,
-        bins=[(index * width, by_bin[index]) for index in sorted(by_bin)],
-    )
+        counts.add(ev)
+    return counts.histogram()
 
 
 def utilization_pie(events) -> dict:
     """{comm: fraction} of event count (period weight for samples), in comm
     order; the fractions sum to 1, and no events give {}."""
-    weights: dict = {}
+    counts = EventCounts()
     for ev in events:
-        weight = ev.period if ev.event_class == "cpu-clock" else 1
-        weights[ev.comm] = weights.get(ev.comm, 0) + weight
-    total = sum(weights.values())
-    return {k: Fraction(w, total) for k, w in sorted(weights.items())}
+        counts.add(ev)
+    return counts.pie()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import heapq
 from fractions import Fraction
 
 
-class GraphError(Exception):
-    pass
+class GraphError(ValueError):
+    """A graph input or query the algorithms cannot answer."""
 
 
 class CycleError(GraphError):

@@ -30,7 +30,7 @@ violate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .trace_model import NS_PER_SEC, Frame, TraceEvent
@@ -94,50 +94,73 @@ class PerfParse:
     errors: list
 
 
+@dataclass
+class PerfInterns:
+    """The text a perf-script parse has seen, each distinct piece parsed or
+    stored once.  One instance can serve several inputs of one run, so
+    that their events share it too."""
+
+    frames: dict = field(default_factory=dict)  # frame-line text -> Frame
+    stacks: dict = field(default_factory=dict)  # a block's frame-line texts -> stack
+    payloads: dict = field(default_factory=dict)  # payload text -> shared args dict
+    # comm, event name, frame symbol or dso text -> the one copy kept
+    names: dict = field(default_factory=dict)
+
+
 def _parse_payload(payload: str) -> dict:
     if _PAYLOAD_RE.fullmatch(payload) is None:
         return {"raw": payload.strip()}
     return dict(_KEYVAL_RE.findall(payload))
 
 
-def _frame_from_match(m) -> Frame:
+def _frame_from_match(m, names: dict) -> Frame:
     addr, sym, off, dso = m.groups()
     sym = sym.strip()
+    dso = dso.strip()
     return Frame(
         address=int(addr, 16),
-        symbol=None if sym in ("", "[unknown]") else sym,
+        symbol=None if sym in ("", "[unknown]") else names.setdefault(sym, sym),
         offset=int(off, 16) if off is not None else None,
-        dso=dso.strip() or None,
+        dso=names.setdefault(dso, dso) if dso else None,
     )
 
 
 def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
     """Parse perf-script text into TraceEvents (stacks attached leaf-first);
-    see `parse_perf_lines` for the parse itself."""
+    see `perf_events` for the parse itself."""
     return parse_perf_lines(text.splitlines(), strict)
 
 
 def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
-    """Parse perf-script lines, given without line ends, as they come.
+    """Parse perf-script lines, given without line ends, into one list of
+    events; see `perf_events` for the parse itself."""
+    errors = []
+    return PerfParse(events=list(perf_events(lines, errors, strict)), errors=errors)
+
+
+def perf_events(lines, errors: list, strict: bool = False, interns=None):
+    """Yield the events of perf-script lines, given without line ends, as
+    each sample block ends.
 
     `lines` is any iterable and is read once, front to back, never held
     whole.  In lenient mode (default) lines matching no grammar rule are
-    collected as MalformedLine errors and parsing continues; strict mode
-    raises on the first such line.  Lenient parsing never raises: every
-    line is an event header, a frame, a blank, or a reported error.
+    appended to `errors` as MalformedLines and parsing continues; strict
+    mode raises on the first such line.  Lenient parsing never raises:
+    every line is an event header, a frame, a blank, or a reported error.
 
-    Each distinct frame line, stack, payload, comm and event name is
-    parsed or stored once per call, and events share them: interned
-    `Frame` objects and stack tuples, one args dict per distinct payload,
-    one string per distinct comm and event name.  Treat shared args dicts
-    as read-only, like the stacks.
+    Each distinct frame line, stack, payload, comm, event name, frame
+    symbol and dso is parsed or stored once per `interns` (a fresh
+    PerfInterns when None), and events share them: interned `Frame`
+    objects and stack tuples, one args dict per distinct payload, one
+    string per distinct name.  Treat shared args dicts as read-only, like
+    the stacks.
     """
-    events = []
-    errors = []
-    frames = {}  # frame-line text -> Frame
-    stacks = {}  # the block's frame-line texts -> stack tuple
-    payloads = {}  # payload text -> args dict, shared by its events
-    names = {}  # comm or event-name text -> the one copy events keep
+    if interns is None:
+        interns = PerfInterns()
+    frames = interns.frames
+    stacks = interns.stacks
+    payloads = interns.payloads
+    names = interns.names
     pending = None  # (lineno, header line, header groups, frame-line texts)
 
     def fail(err: MalformedLine):
@@ -146,9 +169,10 @@ def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
         errors.append(err)
 
     def flush():
+        """The pending block's event, or None when there is none."""
         nonlocal pending
         if pending is None:
-            return
+            return None
         lineno, line, groups, texts = pending
         pending = None
         comm, pid, tid, cpu, ts, period, event, payload = groups
@@ -163,28 +187,31 @@ def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
         try:
             # int() raises ValueError past the interpreter's digit limit
             pid = int(pid)
-            events.append(
-                TraceEvent(
-                    comm=names.setdefault(comm, comm),
-                    pid=pid,
-                    tid=int(tid) if tid is not None else pid,
-                    cpu=int(cpu),
-                    ts=int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
-                    event=names.setdefault(event, event),
-                    args=args,
-                    period=int(period or 1),
-                    stack=stack,
-                )
+            return TraceEvent(
+                comm=names.setdefault(comm, comm),
+                pid=pid,
+                tid=int(tid) if tid is not None else pid,
+                cpu=int(cpu),
+                ts=int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
+                event=names.setdefault(event, event),
+                args=args,
+                period=int(period or 1),
+                stack=stack,
             )
         except ValueError as exc:
             fail(MalformedLine(lineno, line, str(exc)))
+            return None
 
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
-            flush()
+            event = flush()
+            if event is not None:
+                yield event
             continue
         if line[0] not in " \t":
-            flush()
+            event = flush()
+            if event is not None:
+                yield event
             m = _PERF_HEADER_RE.match(line)
             if m is None:
                 fail(MalformedLine(lineno, line, "unrecognized event header"))
@@ -196,13 +223,14 @@ def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
                 if m is None:
                     fail(MalformedLine(lineno, line, "unrecognized stack frame"))
                     continue
-                frames[line] = _frame_from_match(m)
+                frames[line] = _frame_from_match(m, names)
             if pending is None:
                 fail(MalformedLine(lineno, line, "stack frame outside a sample block"))
                 continue
             pending[3].append(line)
-    flush()
-    return PerfParse(events=events, errors=errors)
+    event = flush()
+    if event is not None:
+        yield event
 
 
 # ---------------------------------------------------------------------------

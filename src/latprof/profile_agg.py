@@ -37,38 +37,61 @@ def _leaf_parts(event):
     return dso, symbol
 
 
-def flat_profile(events, group_by=("comm", "dso", "symbol")):
-    """Aggregate cpu-clock sample events into percent-of-total rows.
+class FlatProfile:
+    """A flat profile folded one event at a time: `add` each event (only
+    cpu-clock samples count), then `rows()`.
 
     `group_by` selects any subset of (comm, dso, symbol); the leaf frame
-    supplies dso and symbol.  Rows come back sorted by percent descending,
-    ties by key ascending; no samples give no rows.
+    supplies dso and symbol.
     """
-    group_by = set(group_by)
-    counts = {}
-    weights = {}
-    for ev in events:
+
+    def __init__(self, group_by=("comm", "dso", "symbol")):
+        group_by = set(group_by)
+        self._comm = "comm" in group_by
+        self._dso = "dso" in group_by
+        self._symbol = "symbol" in group_by
+        self._tally = {}  # key -> [samples, weight]
+
+    def add(self, ev) -> None:
         if ev.event_class != "cpu-clock":
-            continue
+            return
         dso, symbol = _leaf_parts(ev)
         key = (
-            ev.comm if "comm" in group_by else None,
-            dso if "dso" in group_by else None,
-            symbol if "symbol" in group_by else None,
+            ev.comm if self._comm else None,
+            dso if self._dso else None,
+            symbol if self._symbol else None,
         )
-        counts[key] = counts.get(key, 0) + 1
-        weights[key] = weights.get(key, 0) + ev.period
-    total = sum(weights.values())
-    rows = [
-        FlatProfileRow(
-            comm=key[0], dso=key[1], symbol=key[2],
-            samples=counts[key], weight=weights[key],
-            percent=Fraction(100 * weights[key], total),
-        )
-        for key in counts
-    ]
-    rows.sort(key=lambda r: (-r.percent, r.key))
-    return rows
+        cur = self._tally.get(key)
+        if cur is None:
+            cur = self._tally[key] = [0, 0]
+        cur[0] += 1
+        cur[1] += ev.period
+
+    def rows(self) -> list:
+        """Percent-of-total rows sorted by percent descending, ties by key
+        ascending; no samples give no rows."""
+        total = sum(weight for _, weight in self._tally.values())
+        rows = [
+            FlatProfileRow(
+                comm=key[0], dso=key[1], symbol=key[2],
+                samples=samples, weight=weight,
+                percent=Fraction(100 * weight, total),
+            )
+            for key, (samples, weight) in self._tally.items()
+        ]
+        # every percent is 100 * weight / total with one total: weight
+        # order is percent order, and ints compare faster than Fractions
+        rows.sort(key=lambda r: (-r.weight, r.key))
+        return rows
+
+
+def flat_profile(events, group_by=("comm", "dso", "symbol")):
+    """Aggregate cpu-clock sample events into percent-of-total rows; see
+    `FlatProfile`."""
+    profile = FlatProfile(group_by)
+    for ev in events:
+        profile.add(ev)
+    return profile.rows()
 
 
 @dataclass

@@ -7,15 +7,19 @@ opens Running.  A wakeup of a thread already Runnable changes nothing
 and is not an anomaly: kernels emit sched_waking and then sched_wakeup
 for one wake.  Contradictory transitions (e.g. a wakeup of a thread
 already running) are tallied as anomalies and ignored.  The Sleeping
-and Runnable intervals, which carry a wait reason, are the waits that
-`summarize_waits` folds.
+and Runnable intervals, which carry a wait reason, are the waits.  The
+machine (`SchedWalk`) takes one event at a time and hands each interval
+to a sink as it closes: by default its `WaitSummary`, which keeps only
+the waits' totals, or `build_timelines`' collector of every interval.
 
 Events are processed in a canonical order: timestamp, then an event-kind
 rank (wakeups, then everything else, then switch-ins, then switch-outs),
 then cpu and event name, keeping input order for remaining ties.  The
 kind rank is what makes same-instant wakeup/switch sequences land in the
 only order the state machine can accept, so reshuffling equal-timestamp
-input never changes totals.
+input never changes totals.  `canonical_sort` orders a whole event list;
+`canonical_stream` gives the same order for inputs already in time order
+while holding one equal-timestamp group at a time.
 
 Each wait is classified when its interval opens.  A Runnable interval is
 scheduler delay.  A Sleeping interval's reason comes from the opening
@@ -31,7 +35,10 @@ after it have.
 from __future__ import annotations
 
 import enum
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .trace_model import WaitReason, stack_signature
 
@@ -90,9 +97,6 @@ class ThreadTimeline:
     comm: str = ""
     intervals: list = field(default_factory=list)
 
-    def total_ns(self) -> int:
-        return sum(iv.end - iv.start for iv in self.intervals)
-
 
 @dataclass
 class Timelines:
@@ -115,10 +119,53 @@ def _kind_rank(event) -> int:
     return 1
 
 
+def _canonical_key(event) -> tuple:
+    return (event.ts, _kind_rank(event), event.cpu, event.event)
+
+
 def canonical_sort(events) -> list:
     """The documented deterministic event order shared by all analyses."""
     # sorted() is stable: remaining ties keep input order
-    return sorted(events, key=lambda ev: (ev.ts, _kind_rank(ev), ev.cpu, ev.event))
+    return sorted(events, key=_canonical_key)
+
+
+class OutOfOrder(Exception):
+    """An input steps back in time, so it cannot be ordered as a stream."""
+
+
+def canonical_stream(inputs):
+    """Yield the events of several inputs, each in time order, in canonical
+    order: the order `canonical_sort` gives their concatenation.
+
+    The inputs are merged by timestamp, earlier inputs first among equal
+    timestamps, and only each equal-timestamp group is sorted, so no more
+    than one group is held.  Raises OutOfOrder as soon as an input steps
+    back in time: merging in-order inputs never steps back, and a backward
+    step in one input makes the merge step back at once.
+    """
+    if len(inputs) == 1:
+        events = inputs[0]
+    else:
+        events = heapq.merge(*inputs, key=attrgetter("ts"))
+    group = []
+    group_ts = -1
+    for event in events:
+        ts = event.ts
+        if ts == group_ts:
+            group.append(event)
+            continue
+        if ts < group_ts:
+            raise OutOfOrder
+        if len(group) > 1:
+            group.sort(key=_canonical_key)
+            yield from group
+        elif group:
+            yield group[0]
+        group = [event]
+        group_ts = ts
+    if len(group) > 1:
+        group.sort(key=_canonical_key)
+    yield from group
 
 
 def _int_arg(event, key) -> int | None:
@@ -136,8 +183,13 @@ class _ThreadMachine:
     that classifies its next wait (the syscall it is in, and when it last
     had a block and a network event)."""
 
-    def __init__(self, tid: int, origin: int):
-        self.timeline = ThreadTimeline(tid=tid)
+    __slots__ = ("tid", "comm", "sink", "state", "since", "stack", "reason",
+                 "syscall", "block_ns", "net_ns")
+
+    def __init__(self, tid: int, origin: int, sink):
+        self.tid = tid
+        self.comm = ""
+        self.sink = sink
         self.state = ThreadState.UNKNOWN
         self.since = origin
         self.stack = ()
@@ -147,10 +199,8 @@ class _ThreadMachine:
         self.net_ns = None
 
     def close(self, end: int, truncated: bool = False):
-        self.timeline.intervals.append(
-            TimelineInterval(start=self.since, end=end, state=self.state,
-                             stack=self.stack, reason=self.reason,
-                             truncated=truncated))
+        self.sink(self.tid, self.since, end, self.state, self.stack, self.reason,
+                  truncated)
 
     def transition(self, ts, new_state, stack=(), reason=None):
         if ts > self.since or self.state is not ThreadState.UNKNOWN:
@@ -161,42 +211,48 @@ class _ThreadMachine:
         self.reason = reason
 
 
-def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
-    """Apply the per-tid scheduler state machine in canonical event order.
+class SchedWalk:
+    """The per-tid scheduler state machine, fed one event at a time, in
+    canonical order, through `add`.
 
     Every tid sighted anywhere in the trace (header or sched args) gets a
-    timeline starting in Unknown at the trace origin; tid 0 (the idle task)
-    is never tracked.  Open intervals are closed at the last event
-    timestamp and flagged truncated, so each timeline tiles the full
-    observation window exactly.  Sleeping and Runnable intervals carry
-    their wait reason, classified under `config` when they open.
+    record that starts in Unknown at the trace origin, the first event's
+    timestamp; tid 0 (the idle task) is never tracked.  Each interval is
+    passed, as it closes, to `sink(tid, start, end, state, stack, reason,
+    truncated)`, by default `self.summary.add`, which keeps only the waits.
+    `finish` closes the open intervals at the last event's timestamp,
+    flagged truncated, so each tid's intervals tile the whole observation
+    window.  Sleeping and Runnable intervals carry their wait reason,
+    classified under `config` when they open.
     """
-    if config is None:
-        config = AnalysisConfig()
-    ordered = canonical_sort(events)
-    result = Timelines()
-    if not ordered:
-        return result
-    origin = ordered[0].ts
-    end = ordered[-1].ts
-    result.origin = origin
-    result.end = end
 
-    threads: dict[int, _ThreadMachine] = {}
+    def __init__(self, config: AnalysisConfig = None, sink=None):
+        self.config = config if config is not None else AnalysisConfig()
+        self.summary = WaitSummary()
+        self.sink = sink if sink is not None else self.summary.add
+        self.threads = {}  # tid -> _ThreadMachine
+        self.anomalies = 0
+        self.origin = None  # ns
+        self.end = None  # ns
+        self.saw_sched = False
 
-    def thread(tid: int, comm: str) -> _ThreadMachine:
+    def _thread(self, tid: int, comm: str) -> _ThreadMachine:
         """tid's record, made on first sight; a non-empty comm is kept."""
-        t = threads.get(tid)
+        t = self.threads.get(tid)
         if t is None:
-            t = threads[tid] = _ThreadMachine(tid, origin)
+            t = self.threads[tid] = _ThreadMachine(tid, self.origin, self.sink)
         if comm:
-            t.timeline.comm = comm
+            t.comm = comm
         return t
 
-    for ev in ordered:
+    def add(self, ev) -> None:
+        ts = ev.ts
+        if self.origin is None:
+            self.origin = ts
+        self.end = ts
         cls = ev.event_class
         if ev.tid > 0:
-            t = thread(ev.tid, ev.comm)
+            t = self._thread(ev.tid, ev.comm)
             if cls == "syscalls":
                 name = ev.event_name
                 if name.startswith("sys_enter_"):
@@ -204,59 +260,84 @@ def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
                 elif name.startswith("sys_exit_"):
                     t.syscall = None
             elif cls == "block":
-                t.block_ns = ev.ts
+                t.block_ns = ts
             elif cls in ("net", "sock", "skb"):
-                t.net_ns = ev.ts
+                t.net_ns = ts
         if cls != "sched":
-            continue
+            return
+        self.saw_sched = True
         name = ev.event_name
         if name == "sched_switch":
             prev = _int_arg(ev, "prev_pid")
             nxt = _int_arg(ev, "next_pid")
             if prev is not None and prev > 0:
-                t = thread(prev, ev.args.get("prev_comm", ""))
+                t = self._thread(prev, ev.args.get("prev_comm", ""))
                 if t.state in (ThreadState.RUNNING, ThreadState.UNKNOWN):
                     prev_state = ev.args.get("prev_state")
                     token = (prev_state or "").rstrip("+")
                     if token == "R":
-                        t.transition(ev.ts, ThreadState.RUNNABLE, stack=ev.stack,
+                        t.transition(ts, ThreadState.RUNNABLE, stack=ev.stack,
                                      reason=WaitReason.SCHEDULER_DELAY)
                     else:
                         if token not in _SLEEP_TOKENS:
-                            result.anomalies += 1
-                        window = ev.ts - config.lookback_ns
+                            self.anomalies += 1
+                        window = ts - self.config.lookback_ns
                         reason = classify_wait(
                             prev_state,
                             ev.stack,
                             t.syscall,
                             t.block_ns is not None and t.block_ns >= window,
                             t.net_ns is not None and t.net_ns >= window,
-                            config.lock_symbols,
+                            self.config.lock_symbols,
                         )
-                        t.transition(ev.ts, ThreadState.SLEEPING, stack=ev.stack,
+                        t.transition(ts, ThreadState.SLEEPING, stack=ev.stack,
                                      reason=reason)
                 else:
-                    result.anomalies += 1
+                    self.anomalies += 1
             if nxt is not None and nxt > 0:
-                t = thread(nxt, ev.args.get("next_comm", ""))
+                t = self._thread(nxt, ev.args.get("next_comm", ""))
                 if t.state in (ThreadState.RUNNABLE, ThreadState.UNKNOWN):
-                    t.transition(ev.ts, ThreadState.RUNNING)
+                    t.transition(ts, ThreadState.RUNNING)
                 else:
-                    result.anomalies += 1
+                    self.anomalies += 1
         elif name.startswith("sched_wakeup") or name == "sched_waking":
             pid = _int_arg(ev, "pid")
             if pid is not None and pid > 0:
-                t = thread(pid, ev.args.get("comm", ""))
+                t = self._thread(pid, ev.args.get("comm", ""))
                 if t.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
-                    t.transition(ev.ts, ThreadState.RUNNABLE,
+                    t.transition(ts, ThreadState.RUNNABLE,
                                  reason=WaitReason.SCHEDULER_DELAY)
                 elif t.state is ThreadState.RUNNING:
-                    result.anomalies += 1
+                    self.anomalies += 1
 
-    for tid, t in threads.items():
-        t.close(end, truncated=True)
-        result.by_tid[tid] = t.timeline
-    return result
+    def finish(self) -> None:
+        """Close every open interval at the last event's timestamp."""
+        for t in self.threads.values():
+            t.close(self.end, truncated=True)
+
+    def comms(self) -> dict:
+        """tid -> its last non-empty comm ("" when none was seen)."""
+        return {tid: t.comm for tid, t in self.threads.items()}
+
+
+def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
+    """Walk the events in canonical order (see `SchedWalk`) and collect
+    every tid's intervals into its timeline."""
+    intervals = defaultdict(list)  # tid -> its intervals, in time order
+
+    def collect(tid, start, end, state, stack, reason, truncated):
+        intervals[tid].append(TimelineInterval(start, end, state, stack, reason,
+                                               truncated))
+
+    walk = SchedWalk(config, collect)
+    for ev in canonical_sort(events):
+        walk.add(ev)
+    walk.finish()
+    # every tracked tid has at least its final, truncated interval
+    by_tid = {tid: ThreadTimeline(tid=tid, comm=t.comm, intervals=intervals[tid])
+              for tid, t in walk.threads.items()}
+    return Timelines(by_tid=by_tid, anomalies=walk.anomalies,
+                     origin=walk.origin, end=walk.end)
 
 
 def classify_wait(prev_state, stack, pending_syscall, has_block_event,
@@ -297,6 +378,27 @@ class WaitSummary:
     by_tid_reason: dict = field(default_factory=dict)  # (tid, WaitReason) -> ns
     by_stack: dict = field(default_factory=dict)  # signature -> [ns, count]
     histogram: dict = field(default_factory=dict)  # bucket k -> count
+    _signatures: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def add(self, tid, start, end, state, stack, reason, truncated=False) -> None:
+        """Add one interval if it is a wait (has a reason); the arguments
+        are those a `SchedWalk` passes its sink."""
+        if reason is None:
+            return
+        ns = end - start
+        key = (tid, reason)
+        self.by_tid_reason[key] = self.by_tid_reason.get(key, 0) + ns
+        sig = self._signatures.get(stack)
+        if sig is None:
+            sig = self._signatures[stack] = stack_signature(stack)
+        cur = self.by_stack.get(sig)
+        if cur is None:
+            cur = self.by_stack[sig] = [0, 0]
+        cur[0] += ns
+        cur[1] += 1
+        if ns > 0:
+            bucket = _log2_bucket_us(ns)
+            self.histogram[bucket] = self.histogram.get(bucket, 0) + 1
 
     def total_ns(self) -> int:
         return sum(self.by_tid_reason.values())
@@ -312,21 +414,8 @@ def summarize_waits(timelines: Timelines) -> WaitSummary:
     """Fold every wait (Sleeping and Runnable interval: those with a
     reason) of the timelines into one summary."""
     summary = WaitSummary()
-    signatures = {}  # stack -> its signature
     for tid, timeline in timelines.by_tid.items():
         for iv in timeline.intervals:
-            if iv.reason is None:
-                continue
-            ns = iv.end - iv.start
-            key = (tid, iv.reason)
-            summary.by_tid_reason[key] = summary.by_tid_reason.get(key, 0) + ns
-            sig = signatures.get(iv.stack)
-            if sig is None:
-                sig = signatures[iv.stack] = stack_signature(iv.stack)
-            cur = summary.by_stack.setdefault(sig, [0, 0])
-            cur[0] += ns
-            cur[1] += 1
-            if ns > 0:
-                bucket = _log2_bucket_us(ns)
-                summary.histogram[bucket] = summary.histogram.get(bucket, 0) + 1
+            summary.add(tid, iv.start, iv.end, iv.state, iv.stack, iv.reason,
+                        iv.truncated)
     return summary

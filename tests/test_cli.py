@@ -3,6 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import unittest.mock
 
 import pytest
@@ -57,6 +60,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_analysis_module():
+    # each verb imports the analysis modules it uses, so a run loads only those
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, latprof.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('latprof.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == str(["latprof.cli", "latprof.export", "latprof.parsers",
+                               "latprof.trace_model"])
 
 
 def test_usage_error_exit_2(capsys):
@@ -587,7 +601,7 @@ def test_unknown_group_by_field_is_usage_error(trace_file, capsys):
     assert (code, out) == (0, by_nothing)
 
 
-def test_each_verb_sorts_events_once(sim_trace, capsys, monkeypatch):
+def test_each_verb_sorts_events_once(sim_trace, tmp_path, capsys, monkeypatch):
     from latprof import sched_analysis
 
     calls = []
@@ -598,12 +612,20 @@ def test_each_verb_sorts_events_once(sim_trace, capsys, monkeypatch):
         return real(events)
 
     monkeypatch.setattr(sched_analysis, "canonical_sort", counting)
-    for verb in (["offcpu"], ["report"], ["export", "--format", "json"],
-                 ["export", "--format", "csv"], ["export", "--format", "bulk"]):
-        calls.clear()
-        code, _, _ = run(capsys, *verb, "--input", sim_trace)
-        assert code == 0
-        assert len(calls) == 1, verb
+    # the first event moved to the end: the input steps back in time once
+    with open(sim_trace, encoding="utf-8") as handle:
+        blocks = handle.read().split("\n\n")
+    unordered = tmp_path / "unordered.txt"
+    unordered.write_text("\n\n".join(blocks[1:] + blocks[:1]))
+    for verb, in_order_sorts in ((["offcpu"], 0), (["report"], 0),
+                                 (["export", "--format", "json"], 0),
+                                 (["export", "--format", "csv"], 1),
+                                 (["export", "--format", "bulk"], 1)):
+        for path, sorts in ((sim_trace, in_order_sorts), (unordered, 1)):
+            calls.clear()
+            code, _, _ = run(capsys, *verb, "--input", str(path))
+            assert code == 0
+            assert len(calls) == sorts, (verb, path)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

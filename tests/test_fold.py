@@ -1,0 +1,199 @@
+"""The one-pass fold of `offcpu`, `report` and `export --format json`: the
+same stdout, stderr and exit code as loading and sorting every event, and
+memory that does not grow with the trace."""
+
+import contextlib
+import hashlib
+import io
+import tracemalloc
+import unittest.mock
+
+from latprof.cli import main
+from latprof.export import render_perf_script
+from latprof.simgen import simulate
+
+from test_cli import PERF_TRACE
+from test_simgen import GOLDEN_RUNS, small_cfg
+
+_SIM_BLOCKS = render_perf_script(
+    simulate(small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0])).events).split("\n\n")
+
+
+def _join(blocks) -> str:
+    return "\n\n".join(blocks).rstrip("\n") + "\n"
+
+
+_PERF_BLOCKS = PERF_TRACE.split("\n\n")
+
+# each case's inputs, as texts
+FOLD_INPUTS = {
+    # the simulator emits groups of equal timestamps; alternate blocks in
+    # two files put events of one instant in both inputs
+    "equal-ts-across-inputs": [_join(_SIM_BLOCKS[0::2]), _join(_SIM_BLOCKS[1::2])],
+    "equal-ts-across-inputs-swapped": [_join(_SIM_BLOCKS[1::2]), _join(_SIM_BLOCKS[0::2])],
+    # the first five blocks moved to the middle: one backward step
+    "backward-step": [_join(_SIM_BLOCKS[5:40] + _SIM_BLOCKS[:5] + _SIM_BLOCKS[40:])],
+    "backward-step-then-in-order": [
+        _join(_SIM_BLOCKS[5:40] + _SIM_BLOCKS[:5]), _join(_SIM_BLOCKS[40:])],
+    "malformed": [_join(_PERF_BLOCKS[:3] + ["this is not a header"] + _PERF_BLOCKS[3:])
+                  + "\t zz not a frame\n"],
+    "empty": [""],
+    # its one header's pid is past int()'s digit limit: perf text, no events
+    "no-events": ["a " + "1" * 5000 + " [0] 1.0: cpu-clock:\n"],
+    "samples-only": [_join(_PERF_BLOCKS[:3])],
+    "no-sched-events": [
+        "gzip 100/100 [000] 10.000000: syscalls:sys_enter_read: fd=3\n\n"
+        "gzip 100/100 [000] 10.200000: cpu-clock: \n\t400000 deflate+0x10 (libz.so)\n\n"
+        "gzip 100/100 [000] 10.300000: block:block_rq_issue: dev=8\n\n"
+        "scp 200/200 [001] 10.300000: cpu-clock: \n\t500000 aes (libcrypto.so)\n\n"
+        "gzip 100/100 [000] 10.400000: syscalls:sys_exit_read: ret=0\n"],
+}
+
+_FOLD_VERBS = {"offcpu": ["offcpu"], "report": ["report"],
+               "json": ["export", "--format", "json"]}
+
+_NO_FORMAT = "latprof: error: empty-0.txt: cannot detect input format; use --format\n"
+_STRICT = "latprof: error: line 12: unrecognized event header: 'this is not a header'\n"
+
+# (exit code, sha256 of stdout (first 16 hex digits), stderr) of each case
+# and verb with its inputs given as files, recorded when every analysis
+# loaded all events and sorted them before walking them
+FOLD_OUTPUTS = {
+    "backward-step": {
+        "json": (0, "1475c77d0ea7ca84", ""),
+        "offcpu": (0, "072bff2f3b4680e9", ""),
+        "report": (0, "2a6082f79eac3003", ""),
+    },
+    "backward-step-then-in-order": {
+        "json": (0, "1475c77d0ea7ca84", ""),
+        "offcpu": (0, "072bff2f3b4680e9", ""),
+        "report": (0, "2a6082f79eac3003", ""),
+    },
+    "empty": {
+        "json": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+        "offcpu": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+        "report": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+    },
+    "empty-as-perf": {
+        "offcpu": (0, "c711426f253c1df9", ""),
+        "report": (0, "35c64ded92b284f7", ""),
+    },
+    "equal-ts-across-inputs": {
+        "json": (0, "1475c77d0ea7ca84", ""),
+        "offcpu": (0, "072bff2f3b4680e9", ""),
+        "report": (0, "2a6082f79eac3003", ""),
+    },
+    "equal-ts-across-inputs-swapped": {
+        "json": (0, "1475c77d0ea7ca84", ""),
+        "offcpu": (0, "072bff2f3b4680e9", ""),
+        "report": (0, "2a6082f79eac3003", ""),
+    },
+    "malformed": {
+        "json": (0, "672ddcc610ba92e2", "malformed-0.txt: 2 malformed lines skipped\n"),
+        "offcpu": (0, "b9e80c45fc39cef7", "malformed-0.txt: 2 malformed lines skipped\n"),
+        "report": (0, "7688a77b6fe7e728", "malformed-0.txt: 2 malformed lines skipped\n"),
+    },
+    "malformed-strict": {
+        "json": (1, "e3b0c44298fc1c14", _STRICT),
+        "offcpu": (1, "e3b0c44298fc1c14", _STRICT),
+        "report": (1, "e3b0c44298fc1c14", _STRICT),
+    },
+    "no-events": {
+        "json": (0, "c4088b70a3560a37", "no-events-0.txt: 1 malformed lines skipped\n"),
+        "offcpu": (0, "c711426f253c1df9", "no-events-0.txt: 1 malformed lines skipped\n"),
+        "report": (0, "35c64ded92b284f7", "no-events-0.txt: 1 malformed lines skipped\n"),
+    },
+    "no-events-bad-bin-width": {
+        "json": (0, "c4088b70a3560a37", "no-events-0.txt: 1 malformed lines skipped\n"),
+    },
+    "no-sched-events": {
+        "json": (0, "907648e11f68b56a", ""),
+        "offcpu": (0, "c711426f253c1df9", ""),
+        "report": (0, "9e674540a29571c9", ""),
+    },
+    "no-sched-events-half-second-bins": {
+        "json": (0, "bb9107f80416b851", ""),
+    },
+    "samples-only": {
+        "json": (0, "e22e4a7b02feb8b3", ""),
+        "offcpu": (0, "c711426f253c1df9", ""),
+        "report": (0, "feb102f4399c3b16", ""),
+    },
+    "samples-only-bad-bin-width": {
+        "json": (1, "e3b0c44298fc1c14", "latprof: error: bin width must be positive\n"),
+    },
+}
+
+# extra argv per case: (name suffix, argv added to every verb)
+_FOLD_VARIANTS = {
+    "malformed": [("", []), ("-strict", ["--strict"])],
+    "empty": [("", []), ("-as-perf", ["--format", "perf"])],
+    "no-events": [("", []), ("-bad-bin-width", ["--bin-width", "0"])],
+    "samples-only": [("", []), ("-bad-bin-width", ["--bin-width", "0"])],
+    "no-sched-events": [("", []), ("-half-second-bins", ["--bin-width", "0.5"])],
+}
+
+
+class _Pipe(io.BytesIO):
+    """Bytes that cannot be read twice, as from a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _outcome(capsys, argv, stdin=None):
+    if stdin is None:
+        code = main(argv)
+    else:
+        with unittest.mock.patch("sys.stdin", io.TextIOWrapper(stdin)):
+            code = main(argv)
+    out, err = capsys.readouterr()
+    return code, hashlib.sha256(out.encode()).hexdigest()[:16], err
+
+
+def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # stderr names the inputs as given
+    got = {}
+    for case, texts in FOLD_INPUTS.items():
+        names = [f"{case}-{i}.txt" for i in range(len(texts))]
+        for name, text in zip(names, texts):
+            (tmp_path / name).write_text(text)
+        inputs = [arg for name in names for arg in ("--input", name)]
+        for suffix, extra in _FOLD_VARIANTS.get(case, [("", [])]):
+            for verb, argv in _FOLD_VERBS.items():
+                if "--format" in extra and verb == "json":
+                    continue  # export's --format names the output format
+                if "--bin-width" in extra and verb != "json":
+                    continue
+                outcome = _outcome(capsys, argv + extra + inputs)
+                got.setdefault(case + suffix, {})[verb] = outcome
+                if len(texts) == 1:  # the same from stdin, seekable or not
+                    code, digest, err = outcome
+                    want = (code, digest, err.replace(names[0], "<stdin>"))
+                    for stdin in (io.BytesIO, _Pipe):
+                        assert _outcome(capsys, argv + extra,
+                                        stdin(texts[0].encode())) == want, (case, verb)
+    assert got == FOLD_OUTPUTS
+
+
+def _offcpu_peak_mib(path) -> float:
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(["offcpu", "--input", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def test_offcpu_memory_does_not_grow_with_the_trace(tmp_path):
+    paths = {}
+    for items in (400, 1600):
+        paths[items] = tmp_path / f"sim-{items}.txt"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--producers", "4", "--consumers", "4",
+                         "--capacity", "2", "--items", str(items), "--jitter", "0.2",
+                         "--seed", "1", "--out", str(paths[items])]) == 0
+    _offcpu_peak_mib(paths[400])  # imports and first-call caches are not the trace's
+    small, large = _offcpu_peak_mib(paths[400]), _offcpu_peak_mib(paths[1600])
+    assert large / small < 1.5, (small, large)

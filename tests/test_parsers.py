@@ -123,9 +123,9 @@ def test_perf_script_interns_frames_and_stacks(monkeypatch):
     built = []
     real = parsers._frame_from_match
 
-    def counting(m):
+    def counting(m, names):
         built.append(m.group(0))
-        return real(m)
+        return real(m, names)
 
     monkeypatch.setattr(parsers, "_frame_from_match", counting)
     block = "\t600000 futex_wait ([kernel.kallsyms])\n\t600040 main (app)\n"

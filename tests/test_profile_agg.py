@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from latprof.profile_agg import build_call_graph, flat_profile
 from latprof.trace_model import Frame, TraceEvent
 
@@ -80,6 +83,14 @@ def test_percent_normalization_randomized():
         for grouping in (("comm",), ("comm", "dso"), ("comm", "dso", "symbol")):
             rows = flat_profile(events, group_by=grouping)
             assert sum(r.percent for r in rows) == 100
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy"),
+                          st.integers(1, 5)), min_size=1, max_size=40))
+def test_flat_profile_rows_in_percent_order_ties_by_key(samples):
+    rows = flat_profile([sample(comm, "d.so", symbol, period=period)
+                         for comm, symbol, period in samples])
+    assert rows == sorted(rows, key=lambda r: (-r.percent, r.key))
 
 
 def test_top_n_published_listing_order():
