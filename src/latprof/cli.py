@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import itertools
 import math
 import shutil
@@ -114,6 +115,40 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+class _Spool:
+    """A verb's output, held UTF-8 encoded in an anonymous temporary file
+    until the verb has succeeded, so that a run that fails writes nothing."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def write(self, text: str) -> None:
+        self.file.write(text.encode())
+
+    def clear(self) -> None:
+        """Drop everything written so far."""
+        self.file.seek(0)
+        self.file.truncate()
+
+
+@contextlib.contextmanager
+def _spooled_output(out_path):
+    """Yield a `_Spool` for output too large to hold in memory, and copy
+    what it holds to `out_path` (stdout when None) if the block ends
+    without an error."""
+    with tempfile.TemporaryFile() as file:
+        yield _Spool(file)
+        file.seek(0)
+        if out_path:
+            with open(out_path, "wb") as handle:
+                shutil.copyfileobj(file, handle)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            shutil.copyfileobj(file, sys.stdout.buffer)
+        else:  # a text-only stdout, such as an io.StringIO
+            shutil.copyfileobj(io.TextIOWrapper(file, "utf-8", newline=""), sys.stdout)
+
+
 def _detect(name: str, source, override) -> str:
     if override:
         return override
@@ -128,14 +163,6 @@ def _note_malformed(name: str, errors: list) -> None:
         print(f"{name}: {len(errors)} malformed lines skipped", file=sys.stderr)
 
 
-def _parse_perf(name: str, lines, strict: bool) -> list:
-    """The events of one perf-script input; malformed lines are counted on
-    stderr (or, when strict, raised)."""
-    result = parsers.parse_perf_lines(lines, strict=strict)
-    _note_malformed(name, result.errors)
-    return result.events
-
-
 def _perf_lines(name: str, stream, args):
     """The lines of one input, which must be perf-script text."""
     fmt, lines = _sniffed_lines(name, stream, getattr(args, "format", None))
@@ -145,10 +172,13 @@ def _perf_lines(name: str, stream, args):
 
 
 def _load_events(args, inputs) -> list:
-    """Parse perf-script inputs into one event list, in input order."""
+    """Parse perf-script inputs into one event list, in input order;
+    malformed lines are counted on stderr (or, when strict, raised)."""
     events = []
     for name, stream in inputs:
-        events.extend(_parse_perf(name, _perf_lines(name, stream, args), args.strict))
+        result = parsers.parse_perf_lines(_perf_lines(name, stream, args), args.strict)
+        _note_malformed(name, result.errors)
+        events.extend(result.events)
     return events
 
 
@@ -246,17 +276,21 @@ _RECORD_FORMATS = {
 
 
 def cmd_parse(args) -> int:
-    chunks = []
-    with _open_inputs(args.input) as inputs:
+    with _open_inputs(args.input) as inputs, _spooled_output(args.out) as spool:
         for name, stream in inputs:
             fmt, lines = _sniffed_lines(name, stream, args.format)
             if fmt == "perf":
-                chunks.append(export.to_perf_ndjson(_parse_perf(name, lines, args.strict)))
+                # each event is written as it is parsed, in input order;
+                # each input has its own interns, freed when it ends
+                errors = []
+                writer = export.PerfNdjsonWriter(spool.write)
+                _feed(parsers.perf_events(lines, errors, args.strict), [writer])
+                writer.flush()
+                _note_malformed(name, errors)
             elif fmt in _RECORD_FORMATS:
-                chunks.append(export.to_records_ndjson(_RECORD_FORMATS[fmt](_text(lines))))
+                spool.write(export.to_records_ndjson(_RECORD_FORMATS[fmt](_text(lines))))
             else:
                 raise parsers.ParseError(f"{name}: no NDJSON dump for format {fmt}")
-    _write_output("".join(chunks), args.out)
     return 0
 
 
@@ -396,19 +430,35 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    from . import profile_agg, sched_analysis
+def _export_rows(args) -> int:
+    """`export --format csv|bulk`: one row per event, in canonical order,
+    each written as the fold reaches it."""
+    index_error = None
+    if args.export_format == "bulk":
+        try:
+            export.check_index_name(args.index)
+        except export.BadIndexName as exc:  # an error once the inputs are read
+            index_error = exc
+    with _spooled_output(args.out) as spool:
+        def start():
+            spool.clear()  # a restart drops the rows written so far
+            if index_error is not None:
+                return []
+            if args.export_format == "csv":
+                return [export.CsvWriter(spool.write)]
+            return [export.BulkWriter(spool.write, args.index)]
 
+        folds = _fold_events(args, start)
+        if index_error is not None:
+            raise index_error
+        folds[0].flush()
+    return 0
+
+
+def cmd_export(args) -> int:
     if args.export_format in ("csv", "bulk"):
-        # rows follow canonical event order
-        with _open_inputs(args.input) as inputs:
-            events = sched_analysis.canonical_sort(_load_events(args, inputs))
-        if args.export_format == "csv":
-            _write_output(export.to_csv(events), args.out)
-        else:
-            _write_output(export.to_bulk_ndjson(events, index_name=args.index),
-                          args.out)
-        return 0
+        return _export_rows(args)
+    from . import profile_agg, sched_analysis
 
     config = _analysis_config(args)
     try:

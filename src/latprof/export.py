@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .trace_model import NS_PER_SEC, format_ns
 
@@ -47,7 +48,7 @@ class EventRecord:
 
 
 class _JsonText(dict):
-    """Per-call cache: each distinct string (or None) -> its JSON text."""
+    """Per-writer cache: each distinct string (or None) -> its JSON text."""
 
     def __missing__(self, key):
         text = self[key] = json.dumps(key)
@@ -59,30 +60,143 @@ def _origin_ns(events) -> int | None:
     return min((ev.ts for ev in events), default=None)
 
 
-def _rows(events):
-    """Per event: the event, its ns since the trace origin, that offset as
-    ss.SSS text (truncated below a millisecond, never rounded) and its leaf
-    frame's dso and symbol ("" when absent)."""
-    origin = _origin_ns(events)
-    for ev in events:
-        rel = ev.ts - origin
+# rows a writer formats before it passes them on as one block of text
+_BLOCK_ROWS = 256
+
+
+class _RowWriter:
+    """A fold that formats each event it is given as a row of text and
+    passes the rows on to `write(text)` in blocks: `add` each event, then
+    `flush()` once at the end.  The rows of a run depend only on its
+    events, not on how they are split into blocks."""
+
+    def __init__(self, write):
+        self._write = write
+        self._rows = []
+
+    def flush(self) -> None:
+        """Pass on the rows not yet written."""
+        if self._rows:
+            self._write("".join(self._rows))
+            self._rows.clear()
+
+
+class _RelativeRowWriter(_RowWriter):
+    """A row writer whose rows give each event's time since the trace
+    origin: `origin` ns, or by default the first event added, which is
+    the earliest when events come in canonical order."""
+
+    def __init__(self, write, origin: int | None = None):
+        super().__init__(write)
+        self._origin = origin
+
+    def _fields(self, ev) -> tuple:
+        """The event's ns since the origin, that offset as ss.SSS text
+        (truncated below a millisecond, never rounded) and its leaf frame's
+        dso and symbol ("" when absent)."""
+        if self._origin is None:
+            self._origin = ev.ts
+        rel = ev.ts - self._origin
         if ev.stack:
             leaf = ev.stack[0]
             dso, symbol = leaf.dso or "", leaf.symbol or ""
         else:
             dso = symbol = ""
         text = f"{rel // NS_PER_SEC}.{rel % NS_PER_SEC // NS_PER_MS:03d}"
-        yield ev, rel, text, dso, symbol
+        return rel, text, dso, symbol
+
+
+class CsvWriter(_RelativeRowWriter):
+    """RFC-4180 CSV, LF line endings: the header, then one row per event
+    added."""
+
+    def __init__(self, write, origin: int | None = None):
+        super().__init__(write, origin)
+        # csv.writer writes each row as one string, appended to the rows
+        self._writerow = csv.writer(SimpleNamespace(write=self._rows.append),
+                                    lineterminator="\n",
+                                    quoting=csv.QUOTE_MINIMAL).writerow
+        self._writerow(CSV_HEADER)
+
+    def add(self, ev) -> None:
+        _, text, dso, symbol = self._fields(ev)
+        self._writerow([text, ev.comm, ev.pid, ev.tid, ev.cpu, ev.event, dso, symbol])
+        if len(self._rows) >= _BLOCK_ROWS:
+            self.flush()
+
+
+def check_index_name(index_name: str) -> None:
+    """Raise BadIndexName unless `index_name` is a valid bulk index name."""
+    if not _INDEX_NAME_RE.match(index_name):
+        raise BadIndexName(f"index name must match [a-z0-9_-]+, got {index_name!r}")
+
+
+class BulkWriter(_RelativeRowWriter):
+    """Bulk-indexing NDJSON: an action line then a document line per event
+    added, each line ended by a newline as the bulk API requires.
+
+    Documents carry the EventRecord fields plus full-precision `ts_ns`.
+    A bad index name is a BadIndexName here.
+    """
+
+    def __init__(self, write, index_name: str = DEFAULT_INDEX,
+                 origin: int | None = None):
+        check_index_name(index_name)
+        super().__init__(write, origin)
+        self._action = json.dumps({"index": {"_index": index_name}},
+                                  separators=(",", ":"))
+        self._q = _JsonText()
+
+    def add(self, ev) -> None:
+        rel, text, dso, symbol = self._fields(ev)
+        q = self._q
+        self._rows.append(
+            f'{self._action}\n{{"timestamp_rel":"{text}","comm":{q[ev.comm]},'
+            f'"pid":{ev.pid},"tid":{ev.tid},"cpu":{ev.cpu},"event":{q[ev.event]},'
+            f'"dso":{q[dso]},"symbol":{q[symbol]},"ts_ns":{rel}}}\n')
+        if len(self._rows) >= _BLOCK_ROWS:
+            self.flush()
+
+
+class PerfNdjsonWriter(_RowWriter):
+    """`latprof parse` NDJSON of perf events: one object per event added,
+    with every field, ns timestamps and the stack as a list of frame
+    objects."""
+
+    def __init__(self, write):
+        super().__init__(write)
+        self._q = _JsonText()
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
+
+    def add(self, ev) -> None:
+        q = self._q
+        stack = ",".join(
+            f'{{"address":{"null" if f.address is None else f.address},'
+            f'"symbol":{q[f.symbol]},'
+            f'"offset":{"null" if f.offset is None else f.offset},"dso":{q[f.dso]}}}'
+            for f in ev.stack)
+        self._rows.append(
+            f'{{"comm":{q[ev.comm]},"pid":{ev.pid},"tid":{ev.tid},"cpu":{ev.cpu},'
+            f'"ts_ns":{ev.ts},"event":{q[ev.event]},"args":{self._encode(ev.args)},'
+            f'"period":{ev.period},"stack":[{stack}]}}\n')
+        if len(self._rows) >= _BLOCK_ROWS:
+            self.flush()
+
+
+def _written(writer_class, events, *args) -> str:
+    """The text that `writer_class(write, *args)` writes for `events`."""
+    blocks = []
+    writer = writer_class(blocks.append, *args)
+    for ev in events:
+        writer.add(ev)
+    writer.flush()
+    return "".join(blocks)
 
 
 def to_csv(events) -> str:
-    """RFC-4180 CSV, LF line endings, header + one row per event."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(CSV_HEADER)
-    writer.writerows([text, ev.comm, ev.pid, ev.tid, ev.cpu, ev.event, dso, symbol]
-                     for ev, _, text, dso, symbol in _rows(events))
-    return out.getvalue()
+    """`CsvWriter`'s text for a list of events, in list order, times
+    relative to the earliest."""
+    return _written(CsvWriter, events, _origin_ns(events))
 
 
 def parse_csv(text: str) -> list:
@@ -99,40 +213,14 @@ def parse_csv(text: str) -> list:
 
 
 def to_bulk_ndjson(events, index_name: str = DEFAULT_INDEX) -> str:
-    """Bulk-indexing NDJSON: an action line then a document line per event.
-
-    Documents carry the EventRecord fields plus full-precision `ts_ns`;
-    output ends with a newline as the bulk API requires (empty input
-    produces empty output).
-    """
-    if not _INDEX_NAME_RE.match(index_name):
-        raise BadIndexName(f"index name must match [a-z0-9_-]+, got {index_name!r}")
-    action = json.dumps({"index": {"_index": index_name}}, separators=(",", ":"))
-    q = _JsonText()
-    return "".join(
-        f'{action}\n{{"timestamp_rel":"{text}","comm":{q[ev.comm]},"pid":{ev.pid},'
-        f'"tid":{ev.tid},"cpu":{ev.cpu},"event":{q[ev.event]},"dso":{q[dso]},'
-        f'"symbol":{q[symbol]},"ts_ns":{rel}}}\n'
-        for ev, rel, text, dso, symbol in _rows(events))
+    """`BulkWriter`'s text for a list of events, in list order, times
+    relative to the earliest (empty input produces empty output)."""
+    return _written(BulkWriter, events, index_name, _origin_ns(events))
 
 
 def to_perf_ndjson(events) -> str:
-    """`latprof parse` NDJSON of perf events: one object per event with every
-    field, ns timestamps and the stack as a list of frame objects."""
-    q = _JsonText()
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = []
-    for ev in events:
-        stack = ",".join(
-            f'{{"address":{"null" if f.address is None else f.address},'
-            f'"symbol":{q[f.symbol]},'
-            f'"offset":{"null" if f.offset is None else f.offset},"dso":{q[f.dso]}}}'
-            for f in ev.stack)
-        lines.append(
-            f'{{"comm":{q[ev.comm]},"pid":{ev.pid},"tid":{ev.tid},"cpu":{ev.cpu},'
-            f'"ts_ns":{ev.ts},"event":{q[ev.event]},"args":{encode(ev.args)},'
-            f'"period":{ev.period},"stack":[{stack}]}}\n')
-    return "".join(lines)
+    """`PerfNdjsonWriter`'s text for a list of events, in list order."""
+    return _written(PerfNdjsonWriter, events)
 
 
 def to_records_ndjson(records) -> str:
@@ -214,8 +302,11 @@ class EventCounts:
 
     def pie(self) -> dict:
         """{comm: fraction} of event count (period weight for samples), in
-        comm order; the fractions sum to 1, and no events give {}."""
+        comm order; the fractions sum to 1, and no events, or a total
+        weight of 0 (samples of period 0 only), give {}."""
         total = sum(self._weights.values())
+        if not total:
+            return {}
         return {k: Fraction(w, total) for k, w in sorted(self._weights.items())}
 
 
@@ -229,7 +320,7 @@ def events_per_second(events, bin_width=1) -> HistogramView:
 
 def utilization_pie(events) -> dict:
     """{comm: fraction} of event count (period weight for samples), in comm
-    order; the fractions sum to 1, and no events give {}."""
+    order; see `EventCounts.pie`."""
     counts = EventCounts()
     for ev in events:
         counts.add(ev)

@@ -69,8 +69,10 @@ class FlatProfile:
 
     def rows(self) -> list:
         """Percent-of-total rows sorted by percent descending, ties by key
-        ascending; no samples give no rows."""
+        ascending; no samples, or samples of total period 0, give no rows."""
         total = sum(weight for _, weight in self._tally.values())
+        if not total:  # no percent of a zero total
+            return []
         rows = [
             FlatProfileRow(
                 comm=key[0], dso=key[1], symbol=key[2],

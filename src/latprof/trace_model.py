@@ -1,10 +1,13 @@
 """Core domain types shared by parsers, analyzers, and exporters.
 
-All values are immutable after construction and safe to share between
-threads.  Trace times (event timestamps, interval bounds, lock acquisition
-times) are plain non-negative int nanoseconds, so long traces never
-accumulate floating-point drift; `parse_ns` and `format_ns` convert
-decimal "sec.frac" text exactly at nanosecond resolution at the edges.
+Values are safe to share between threads: every type here is immutable
+except `TraceEvent`, which is mutable only so that it is built quickly
+(plain attribute stores, not the frozen `object.__setattr__` path); treat
+events as read-only, as their stacks and `args` dicts already are.  Trace
+times (event timestamps, interval bounds, lock acquisition times) are
+plain non-negative int nanoseconds, so long traces never accumulate
+floating-point drift; `parse_ns` and `format_ns` convert decimal
+"sec.frac" text exactly at nanosecond resolution at the edges.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class Frame:
         return f"0x{self.address:x}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One timestamped profiler event, with an optional call stack.
 
@@ -115,9 +118,7 @@ class TraceEvent:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
         if self.ts < 0:
             raise ValueError(f"timestamp must be non-negative, got {self.ts}")
-        event_class, event_name = _event_parts(self.event)
-        object.__setattr__(self, "event_class", event_class)
-        object.__setattr__(self, "event_name", event_name)
+        self.event_class, self.event_name = _event_parts(self.event)
 
     def leaf(self) -> Frame | None:
         return self.stack[0] if self.stack else None

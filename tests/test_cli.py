@@ -114,6 +114,49 @@ def test_report_no_sched_trace_still_exits_zero(tmp_path, capsys):
     assert "(no data)" in out  # wait + lock sections empty
 
 
+_NO_DATA_REPORT = """=== Flat profile ===
+(no data)
+
+=== Off-CPU wait time by reason ===
+(no data)
+
+=== Lock contention ===
+(no data)
+"""
+
+
+def test_zero_period_samples_have_no_percentages(tmp_path, capsys):
+    # every cpu-clock sample has period 0: there is no percent of a zero
+    # total, so the flat profile and the utilization pie are empty
+    path = tmp_path / "zero.txt"
+    path.write_text("a 1/1 [0] 1.0: 0 cpu-clock:\n")
+    assert run(capsys, "report", "--input", str(path)) == (0, _NO_DATA_REPORT, "")
+    code, out, err = run(capsys, "export", "--format", "json", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "profile": [],
+        "events_per_bin": {"bin_width_s": 1.0,
+                           "bins": [{"start_s": 0.0, "counts": {"a": 1}}]},
+        "utilization": [],
+    }, indent=2) + "\n"
+
+
+def test_streamed_output_reaches_a_text_only_stdout(tmp_path, capsys):
+    # the spooled bytes are decoded for a stdout that has no byte buffer
+    path = tmp_path / "trace.txt"
+    path.write_text(PERF_TRACE.replace("scp", "sc\u00e9p"), encoding="utf-8")
+    for verb in (["parse"], ["export", "--format", "csv"],
+                 ["export", "--format", "bulk"]):
+        argv = verb + ["--input", str(path)]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0, verb
+        assert "\u00e9" in want or "\\u00e9" in want, verb  # CSV raw, JSON escaped
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == want, verb
+
+
 def test_offcpu_no_sched_events(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("gzip 100/100 [000] 10.000000: cpu-clock: \n")
@@ -617,11 +660,9 @@ def test_each_verb_sorts_events_once(sim_trace, tmp_path, capsys, monkeypatch):
         blocks = handle.read().split("\n\n")
     unordered = tmp_path / "unordered.txt"
     unordered.write_text("\n\n".join(blocks[1:] + blocks[:1]))
-    for verb, in_order_sorts in ((["offcpu"], 0), (["report"], 0),
-                                 (["export", "--format", "json"], 0),
-                                 (["export", "--format", "csv"], 1),
-                                 (["export", "--format", "bulk"], 1)):
-        for path, sorts in ((sim_trace, in_order_sorts), (unordered, 1)):
+    for verb in (["offcpu"], ["report"], ["export", "--format", "json"],
+                 ["export", "--format", "csv"], ["export", "--format", "bulk"]):
+        for path, sorts in ((sim_trace, 0), (unordered, 1)):
             calls.clear()
             code, _, _ = run(capsys, *verb, "--input", str(path))
             assert code == 0

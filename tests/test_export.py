@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latprof import export
 from latprof.export import (
     BadIndexName,
+    BulkWriter,
+    CsvWriter,
+    PerfNdjsonWriter,
     EventRecord,
     events_per_second,
     parse_bulk_ndjson,
@@ -168,6 +172,31 @@ def test_event_writers_match_reference(events, index_name):
     assert to_bulk_ndjson(events, index_name) == \
         export_reference.to_bulk_ndjson(events, index_name)
     assert to_perf_ndjson(events) == export_reference.perf_ndjson(events)
+
+
+def test_event_writers_pass_rows_on_in_blocks(monkeypatch):
+    # a block of two rows: seven events take four blocks (plus the CSV
+    # header), and the text is the same as the reference's
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 2)
+    stack = (Frame(symbol="memcpy", dso="libc.so"),)
+    events = [ev(comm=f"c{i}", ts=f"{10 + i}.{i:09d}", stack=stack[:i % 2],
+                 args={"k": str(i)}) for i in range(7)]
+    for make, reference in (
+            (CsvWriter, export_reference.to_csv),
+            (BulkWriter, export_reference.to_bulk_ndjson),
+            (PerfNdjsonWriter, export_reference.perf_ndjson)):
+        blocks = []
+        writer = make(blocks.append)  # the origin is the first event added
+        for event in events:
+            writer.add(event)
+        writer.flush()
+        assert len(blocks) == 4, make
+        assert "".join(blocks) == reference(events), make
+
+
+def test_pie_of_zero_total_weight_is_empty():
+    # samples of period 0 only: no fraction of a zero total
+    assert utilization_pie([ev(period=0), ev(comm="scp", period=0)]) == {}
 
 
 _FRACTION = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)

@@ -1,6 +1,7 @@
-"""The one-pass fold of `offcpu`, `report` and `export --format json`: the
-same stdout, stderr and exit code as loading and sorting every event, and
-memory that does not grow with the trace."""
+"""The streaming verbs: `offcpu`, `report` and `export` fold the events in
+one pass and `parse` writes them as they are parsed, with the same stdout,
+stderr and exit code as loading (and, for the analyses, sorting) every
+event, and memory that does not grow with the trace."""
 
 import contextlib
 import hashlib
@@ -8,6 +9,9 @@ import io
 import tracemalloc
 import unittest.mock
 
+import pytest
+
+from latprof import export
 from latprof.cli import main
 from latprof.export import render_perf_script
 from latprof.simgen import simulate
@@ -50,86 +54,135 @@ FOLD_INPUTS = {
 }
 
 _FOLD_VERBS = {"offcpu": ["offcpu"], "report": ["report"],
-               "json": ["export", "--format", "json"]}
+               "json": ["export", "--format", "json"], "parse": ["parse"],
+               "csv": ["export", "--format", "csv"],
+               "bulk": ["export", "--format", "bulk"]}
 
 _NO_FORMAT = "latprof: error: empty-0.txt: cannot detect input format; use --format\n"
 _STRICT = "latprof: error: line 12: unrecognized event header: 'this is not a header'\n"
+_BAD_INDEX_NAME = \
+    "latprof: error: index name must match [a-z0-9_-]+, got 'Not An Index'\n"
 
 # (exit code, sha256 of stdout (first 16 hex digits), stderr) of each case
 # and verb with its inputs given as files, recorded when every analysis
-# loaded all events and sorted them before walking them
+# loaded all events and sorted them before walking them, and `parse`,
+# csv and bulk loaded every event before writing any
 FOLD_OUTPUTS = {
     "backward-step": {
+        "bulk": (0, "58d95df7648786aa", ""),
+        "csv": (0, "6748e1e65c4d22dd", ""),
         "json": (0, "1475c77d0ea7ca84", ""),
         "offcpu": (0, "072bff2f3b4680e9", ""),
+        "parse": (0, "de75ec4129217d8e", ""),
         "report": (0, "2a6082f79eac3003", ""),
     },
     "backward-step-then-in-order": {
+        "bulk": (0, "58d95df7648786aa", ""),
+        "csv": (0, "6748e1e65c4d22dd", ""),
         "json": (0, "1475c77d0ea7ca84", ""),
         "offcpu": (0, "072bff2f3b4680e9", ""),
+        "parse": (0, "de75ec4129217d8e", ""),
         "report": (0, "2a6082f79eac3003", ""),
     },
     "empty": {
+        "bulk": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+        "csv": (1, "e3b0c44298fc1c14", _NO_FORMAT),
         "json": (1, "e3b0c44298fc1c14", _NO_FORMAT),
         "offcpu": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+        "parse": (1, "e3b0c44298fc1c14", _NO_FORMAT),
         "report": (1, "e3b0c44298fc1c14", _NO_FORMAT),
     },
     "empty-as-perf": {
         "offcpu": (0, "c711426f253c1df9", ""),
+        "parse": (0, "e3b0c44298fc1c14", ""),
         "report": (0, "35c64ded92b284f7", ""),
     },
+    "empty-bad-index": {
+        "bulk": (1, "e3b0c44298fc1c14", _NO_FORMAT),
+    },
     "equal-ts-across-inputs": {
+        "bulk": (0, "58d95df7648786aa", ""),
+        "csv": (0, "6748e1e65c4d22dd", ""),
         "json": (0, "1475c77d0ea7ca84", ""),
         "offcpu": (0, "072bff2f3b4680e9", ""),
+        "parse": (0, "647f955649d1ce37", ""),
         "report": (0, "2a6082f79eac3003", ""),
     },
     "equal-ts-across-inputs-swapped": {
+        "bulk": (0, "58d95df7648786aa", ""),
+        "csv": (0, "6748e1e65c4d22dd", ""),
         "json": (0, "1475c77d0ea7ca84", ""),
         "offcpu": (0, "072bff2f3b4680e9", ""),
+        "parse": (0, "024d1107d46a882a", ""),
         "report": (0, "2a6082f79eac3003", ""),
     },
     "malformed": {
+        "bulk": (0, "b99d8f2e2ee28e52", "malformed-0.txt: 2 malformed lines skipped\n"),
+        "csv": (0, "5a30fd802c2284ad", "malformed-0.txt: 2 malformed lines skipped\n"),
         "json": (0, "672ddcc610ba92e2", "malformed-0.txt: 2 malformed lines skipped\n"),
         "offcpu": (0, "b9e80c45fc39cef7", "malformed-0.txt: 2 malformed lines skipped\n"),
+        "parse": (0, "d50fc4178af506ab", "malformed-0.txt: 2 malformed lines skipped\n"),
         "report": (0, "7688a77b6fe7e728", "malformed-0.txt: 2 malformed lines skipped\n"),
     },
+    "malformed-bad-index": {
+        "bulk": (1, "e3b0c44298fc1c14",
+                 "malformed-0.txt: 2 malformed lines skipped\n" + _BAD_INDEX_NAME),
+    },
     "malformed-strict": {
+        "bulk": (1, "e3b0c44298fc1c14", _STRICT),
+        "csv": (1, "e3b0c44298fc1c14", _STRICT),
         "json": (1, "e3b0c44298fc1c14", _STRICT),
         "offcpu": (1, "e3b0c44298fc1c14", _STRICT),
+        "parse": (1, "e3b0c44298fc1c14", _STRICT),
         "report": (1, "e3b0c44298fc1c14", _STRICT),
     },
     "no-events": {
+        "bulk": (0, "e3b0c44298fc1c14", "no-events-0.txt: 1 malformed lines skipped\n"),
+        "csv": (0, "6bdbcac848040645", "no-events-0.txt: 1 malformed lines skipped\n"),
         "json": (0, "c4088b70a3560a37", "no-events-0.txt: 1 malformed lines skipped\n"),
         "offcpu": (0, "c711426f253c1df9", "no-events-0.txt: 1 malformed lines skipped\n"),
+        "parse": (0, "e3b0c44298fc1c14", "no-events-0.txt: 1 malformed lines skipped\n"),
         "report": (0, "35c64ded92b284f7", "no-events-0.txt: 1 malformed lines skipped\n"),
     },
     "no-events-bad-bin-width": {
         "json": (0, "c4088b70a3560a37", "no-events-0.txt: 1 malformed lines skipped\n"),
     },
     "no-sched-events": {
+        "bulk": (0, "3326950616eb820a", ""),
+        "csv": (0, "8543ad7bfb9b2f68", ""),
         "json": (0, "907648e11f68b56a", ""),
         "offcpu": (0, "c711426f253c1df9", ""),
+        "parse": (0, "0551e7fefd66a43c", ""),
         "report": (0, "9e674540a29571c9", ""),
     },
     "no-sched-events-half-second-bins": {
         "json": (0, "bb9107f80416b851", ""),
     },
     "samples-only": {
+        "bulk": (0, "737e472e32a5d599", ""),
+        "csv": (0, "ad0c91781c39e607", ""),
         "json": (0, "e22e4a7b02feb8b3", ""),
         "offcpu": (0, "c711426f253c1df9", ""),
+        "parse": (0, "542bbad38daaa2df", ""),
         "report": (0, "feb102f4399c3b16", ""),
     },
     "samples-only-bad-bin-width": {
         "json": (1, "e3b0c44298fc1c14", "latprof: error: bin width must be positive\n"),
     },
+    "samples-only-bad-index": {
+        "bulk": (1, "e3b0c44298fc1c14", _BAD_INDEX_NAME),
+    },
 }
+
+_BAD_INDEX = ["--index", "Not An Index"]
 
 # extra argv per case: (name suffix, argv added to every verb)
 _FOLD_VARIANTS = {
-    "malformed": [("", []), ("-strict", ["--strict"])],
-    "empty": [("", []), ("-as-perf", ["--format", "perf"])],
+    "malformed": [("", []), ("-strict", ["--strict"]), ("-bad-index", _BAD_INDEX)],
+    "empty": [("", []), ("-as-perf", ["--format", "perf"]), ("-bad-index", _BAD_INDEX)],
     "no-events": [("", []), ("-bad-bin-width", ["--bin-width", "0"])],
-    "samples-only": [("", []), ("-bad-bin-width", ["--bin-width", "0"])],
+    "samples-only": [("", []), ("-bad-bin-width", ["--bin-width", "0"]),
+                     ("-bad-index", _BAD_INDEX)],
     "no-sched-events": [("", []), ("-half-second-bins", ["--bin-width", "0.5"])],
 }
 
@@ -153,6 +206,9 @@ def _outcome(capsys, argv, stdin=None):
 
 def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # stderr names the inputs as given
+    # blocks of two rows: csv and bulk rows reach the spool before a
+    # backward step restarts the fold, which must drop them
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 2)
     got = {}
     for case, texts in FOLD_INPUTS.items():
         names = [f"{case}-{i}.txt" for i in range(len(texts))]
@@ -161,9 +217,10 @@ def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
         inputs = [arg for name in names for arg in ("--input", name)]
         for suffix, extra in _FOLD_VARIANTS.get(case, [("", [])]):
             for verb, argv in _FOLD_VERBS.items():
-                if "--format" in extra and verb == "json":
+                if "--format" in extra and argv[0] == "export":
                     continue  # export's --format names the output format
-                if "--bin-width" in extra and verb != "json":
+                if "--bin-width" in extra and verb != "json" \
+                        or "--index" in extra and verb != "bulk":
                     continue
                 outcome = _outcome(capsys, argv + extra + inputs)
                 got.setdefault(case + suffix, {})[verb] = outcome
@@ -176,24 +233,60 @@ def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
     assert got == FOLD_OUTPUTS
 
 
-def _offcpu_peak_mib(path) -> float:
-    with contextlib.redirect_stdout(io.StringIO()):
-        tracemalloc.start()
-        try:
-            assert main(["offcpu", "--input", str(path)]) == 0
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+def test_strict_error_in_a_later_input_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the second input's bad line is read after the first input's events
+    # are written (parse) or folded (the rest); with blocks of two rows,
+    # the writers have passed rows on to the spool by then
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 2)
+    first = tmp_path / "first.txt"
+    first.write_text(_join(_SIM_BLOCKS[:40]))
+    second = tmp_path / "second.txt"
+    second.write_text(_join(_SIM_BLOCKS[40:] + ["this is not a header"]))
+    out = tmp_path / "out.txt"
+    for verb, argv in _FOLD_VERBS.items():
+        inputs = ["--strict", "--input", str(first), "--input", str(second)]
+        for extra in ([], ["--out", str(out)]):
+            code, digest, err = _outcome(capsys, argv + inputs + extra)
+            assert (code, digest) == (1, "e3b0c44298fc1c14"), (verb, extra)
+            assert err.startswith("latprof: error: line "), (verb, err)
+            assert not out.exists(), verb
 
 
-def test_offcpu_memory_does_not_grow_with_the_trace(tmp_path):
+@pytest.fixture(scope="module")
+def sim_traces(tmp_path_factory):
+    """Two simulator traces of one shape, the second 4x as long."""
     paths = {}
     for items in (400, 1600):
-        paths[items] = tmp_path / f"sim-{items}.txt"
+        paths[items] = tmp_path_factory.mktemp("sim") / f"sim-{items}.txt"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--producers", "4", "--consumers", "4",
                          "--capacity", "2", "--items", str(items), "--jitter", "0.2",
                          "--seed", "1", "--out", str(paths[items])]) == 0
-    _offcpu_peak_mib(paths[400])  # imports and first-call caches are not the trace's
-    small, large = _offcpu_peak_mib(paths[400]), _offcpu_peak_mib(paths[1600])
+    return paths
+
+
+def _peak_mib(argv, path) -> float:
+    """tracemalloc's peak, in MiB, of running `argv` on `path`, its output
+    going to a file so that the output is not counted."""
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--input", str(path), "--out", f"{path}.out"]) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _growth(argv, paths) -> tuple:
+    _peak_mib(argv, paths[400])  # imports and first-call caches are not the trace's
+    return _peak_mib(argv, paths[400]), _peak_mib(argv, paths[1600])
+
+
+def test_offcpu_memory_does_not_grow_with_the_trace(sim_traces):
+    small, large = _growth(["offcpu"], sim_traces)
+    assert large / small < 1.5, (small, large)
+
+
+@pytest.mark.parametrize("verb", ["parse", "csv", "bulk"])
+def test_streaming_verb_memory_does_not_grow_with_the_trace(sim_traces, verb):
+    small, large = _growth(_FOLD_VERBS[verb], sim_traces)
     assert large / small < 1.5, (small, large)

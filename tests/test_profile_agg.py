@@ -57,6 +57,12 @@ def test_flat_profile_no_samples():
     assert flat_profile([TraceEvent("x", 1, 1, 0, 0, "sched:sched_switch")]) == []
 
 
+def test_flat_profile_zero_total_weight_gives_no_rows():
+    # no percent of a zero total
+    events = [sample("a", "d", "s1", period=0), sample("b", "d", "s2", period=0)]
+    assert flat_profile(events) == []
+
+
 def test_flat_profile_period_weighting():
     events = [sample("a", "d", "s1", period=3), sample("a", "d", "s2", period=1)]
     rows = flat_profile(events, group_by=("symbol",))
