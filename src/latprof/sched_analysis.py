@@ -9,8 +9,10 @@ for one wake.  Contradictory transitions (e.g. a wakeup of a thread
 already running) are tallied as anomalies and ignored.  The Sleeping
 and Runnable intervals, which carry a wait reason, are the waits.  The
 machine (`SchedWalk`) takes one event at a time and hands each interval
-to a sink as it closes: by default its `WaitSummary`, which keeps only
-the waits' totals, or `build_timelines`' collector of every interval.
+to a sink as it closes.  An interval is just the seven values the sink
+is called with, `(tid, start, end, state, stack, reason, truncated)`;
+the default sink is the walk's `WaitSummary`, which keeps only the
+waits' totals.
 
 Events are processed in a canonical order: timestamp, then an event-kind
 rank (wakeups, then everything else, then switch-ins, then switch-outs),
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -79,31 +80,6 @@ class ThreadState(enum.Enum):
     RUNNABLE = "runnable"
     SLEEPING = "sleeping"
     UNKNOWN = "unknown"
-
-
-@dataclass(slots=True)
-class TimelineInterval:
-    start: int  # ns
-    end: int  # ns
-    state: ThreadState
-    stack: tuple = ()
-    reason: WaitReason | None = None  # set on Sleeping and Runnable intervals
-    truncated: bool = False
-
-
-@dataclass
-class ThreadTimeline:
-    tid: int
-    comm: str = ""
-    intervals: list = field(default_factory=list)
-
-
-@dataclass
-class Timelines:
-    by_tid: dict = field(default_factory=dict)
-    anomalies: int = 0
-    origin: int | None = None  # ns
-    end: int | None = None  # ns
 
 
 def _kind_rank(event) -> int:
@@ -320,26 +296,6 @@ class SchedWalk:
         return {tid: t.comm for tid, t in self.threads.items()}
 
 
-def build_timelines(events, config: AnalysisConfig = None) -> Timelines:
-    """Walk the events in canonical order (see `SchedWalk`) and collect
-    every tid's intervals into its timeline."""
-    intervals = defaultdict(list)  # tid -> its intervals, in time order
-
-    def collect(tid, start, end, state, stack, reason, truncated):
-        intervals[tid].append(TimelineInterval(start, end, state, stack, reason,
-                                               truncated))
-
-    walk = SchedWalk(config, collect)
-    for ev in canonical_sort(events):
-        walk.add(ev)
-    walk.finish()
-    # every tracked tid has at least its final, truncated interval
-    by_tid = {tid: ThreadTimeline(tid=tid, comm=t.comm, intervals=intervals[tid])
-              for tid, t in walk.threads.items()}
-    return Timelines(by_tid=by_tid, anomalies=walk.anomalies,
-                     origin=walk.origin, end=walk.end)
-
-
 def classify_wait(prev_state, stack, pending_syscall, has_block_event,
                   has_net_event, lock_symbols=DEFAULT_LOCK_SYMBOLS) -> WaitReason:
     """First matching rule wins: lock, block I/O, network, timer, unknown."""
@@ -408,14 +364,3 @@ class WaitSummary:
         return sorted(((tid, reason, ns)
                        for (tid, reason), ns in self.by_tid_reason.items()),
                       key=lambda row: (row[0], row[1].value))
-
-
-def summarize_waits(timelines: Timelines) -> WaitSummary:
-    """Fold every wait (Sleeping and Runnable interval: those with a
-    reason) of the timelines into one summary."""
-    summary = WaitSummary()
-    for tid, timeline in timelines.by_tid.items():
-        for iv in timeline.intervals:
-            summary.add(tid, iv.start, iv.end, iv.state, iv.stack, iv.reason,
-                        iv.truncated)
-    return summary

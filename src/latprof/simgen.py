@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .lock_analysis import LockAcquisition
-from .sched_analysis import ThreadState, build_timelines, summarize_waits
+from .sched_analysis import SchedWalk, ThreadState, canonical_sort
 from .trace_model import Frame, TraceEvent
 
 _MASK64 = (1 << 64) - 1
@@ -509,35 +509,42 @@ def _sem_from_stack(stack) -> str | None:
 def replay_check(events, truth: GroundTruth) -> ReplayReport:
     """Run the scheduler analysis over simulated events and diff the ledger.
 
-    Discrepancies are report content, not faults; intervals cut off by a
-    truncated event stream are flagged as "truncation" rather than
+    One walk over one sort: the events are put in canonical order once and
+    fed to a `SchedWalk`, whose sink adds every interval to the walk's wait
+    summary and each Sleeping interval at a `wait_*` site to the measured
+    ledger.  Discrepancies are report content, not faults; intervals cut
+    off by a truncated event stream are flagged as "truncation" rather than
     "mismatch".
     """
-    timelines = build_timelines(events)
-    summary = summarize_waits(timelines)
+    measured = {}  # (tid, sem) -> [ns, count]
+    truncated_keys = set()
+
+    def sink(tid, start, end, state, stack, reason, truncated):
+        summary.add(tid, start, end, state, stack, reason, truncated)
+        if state is not ThreadState.SLEEPING:
+            return
+        sem = _sem_from_stack(stack)
+        if sem is None:
+            return
+        key = (tid, sem)
+        entry = measured.setdefault(key, [0, 0])
+        entry[0] += end - start
+        entry[1] += 1
+        if truncated:
+            truncated_keys.add(key)
+
+    walk = SchedWalk(sink=sink)
+    summary = walk.summary
+    for ev in canonical_sort(events):
+        walk.add(ev)
+    walk.finish()
 
     # a stream that ends before the simulated completion is truncated; all
     # of its discrepancies are degradation, not analyzer faults
     stream_truncated = (
         truth.completion_ns is not None
-        and (timelines.end is None or timelines.end < truth.completion_ns)
+        and (walk.end is None or walk.end < truth.completion_ns)
     )
-
-    measured = {}
-    truncated_keys = set()
-    for tid, timeline in timelines.by_tid.items():
-        for iv in timeline.intervals:
-            if iv.state is not ThreadState.SLEEPING:
-                continue
-            sem = _sem_from_stack(iv.stack)
-            if sem is None:
-                continue
-            key = (tid, sem)
-            entry = measured.setdefault(key, [0, 0])
-            entry[0] += iv.end - iv.start
-            entry[1] += 1
-            if iv.truncated:
-                truncated_keys.add(key)
 
     discrepancies = []
     pending = {(tid, sem) for tid, sem, _ in truth.pending}
@@ -567,7 +574,7 @@ def replay_check(events, truth: GroundTruth) -> ReplayReport:
 
     checked = len(set(truth.blocked) | set(measured))
     return ReplayReport(discrepancies=discrepancies, checked=checked,
-                        anomalies=timelines.anomalies)
+                        anomalies=walk.anomalies)
 
 
 def seconds_to_ns(value) -> int:

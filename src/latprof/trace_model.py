@@ -125,9 +125,9 @@ class TraceEvent:
 
 
 class WaitKind(enum.Enum):
-    """Unused by the library: a wait is a Sleeping or Runnable
-    `sched_analysis.TimelineInterval`.  Kept only for the import in
-    `perfbench/tracer.py`."""
+    """Unused by the library: a wait is a Sleeping or Runnable interval,
+    as a `sched_analysis.SchedWalk` passes it to its sink.  Kept only for
+    the import in `perfbench/tracer.py`."""
 
     BLOCKED = "blocked"
     RUNNABLE = "runnable"

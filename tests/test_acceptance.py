@@ -39,15 +39,12 @@ from latprof.parsers import (
     parse_oprofile_flat,
 )
 from latprof.profile_agg import build_call_graph, flat_profile
-from latprof.sched_analysis import (
-    ThreadState,
-    build_timelines,
-    summarize_waits,
-)
+from latprof.sched_analysis import ThreadState
 from latprof.simgen import SimConfig, replay_check, simulate
 from latprof.trace_model import Frame, TraceEvent, format_ns, parse_ns
 
 import listings
+from intervals import walk_intervals
 
 MS = 10**6
 
@@ -177,15 +174,15 @@ def test_criterion_3_conservation_suites():
         rng = random.Random(303)
         for _ in range(1000):  # timeline conservation
             events = _random_sched_events(rng)
-            tls = build_timelines(events)
-            window = tls.end - tls.origin
-            for timeline in tls.by_tid.values():
-                assert sum(iv.end - iv.start for iv in timeline.intervals) == window
+            walk, by_tid = walk_intervals(events)
+            window = walk.end - walk.origin
+            for intervals in by_tid.values():
+                assert sum(iv.end - iv.start for iv in intervals) == window
             offcpu_ns = sum(
                 iv.end - iv.start
-                for tl in tls.by_tid.values() for iv in tl.intervals
+                for intervals in by_tid.values() for iv in intervals
                 if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE))
-            assert summarize_waits(tls).total_ns() == offcpu_ns
+            assert walk.summary.total_ns() == offcpu_ns
 
         for _ in range(1000):  # percent normalization, 100 +- 0.01
             events = _random_samples(rng)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latprof import cli
+from latprof import cli, simgen
 from latprof.cli import main
 from latprof.export import render_perf_script
 from latprof.lock_analysis import write_acquisitions_csv
@@ -20,7 +21,7 @@ from latprof.parsers import ParseError
 from latprof.simgen import simulate
 
 import listings
-from test_simgen import GOLDEN_RUNS, small_cfg
+from test_simgen import GOLDEN_RUNS, raised_by_one_ns, small_cfg
 
 PERF_TRACE = (
     "gzip 100/100 [000] 10.000000: cpu-clock: \n"
@@ -465,6 +466,45 @@ def test_simulate_writes_trace_and_truth(tmp_path, capsys):
     code, out, _ = run(capsys, "locks", "--input", str(acq))
     assert code == 0
     assert "(none detected)" in out
+
+
+# stdout, stderr and exit code recorded before the oracle walked the trace
+# once through a SchedWalk
+DEADLOCK_CHECK_STDOUT = (
+    "checked 6 (tid, semaphore) ledger entries\n"
+    "truncation: tid 1 mutex_q0: truth 0 ns x0 vs measured 0 ns x1\n"
+    "truncation: tid 2 empty_q0: truth 0 ns x0 vs measured 1000000 ns x1\n"
+    "truncation: tid 3 mutex_q0: truth 0 ns x0 vs measured 1000000 ns x1\n"
+    "truncation: tid 4 full_q0: truth 0 ns x0 vs measured 1100000 ns x1\n"
+    "replay: 4 discrepancies\n"
+)
+DEADLOCK_STDERR = ("deadlock reached: tid 1 on mutex_q0, tid 2 on empty_q0, "
+                   "tid 3 on mutex_q0, tid 4 on full_q0\n")
+
+
+def test_simulate_check_deadlock_golden(capsys):
+    result = run(capsys, "simulate", "--producers", "2", "--consumers", "2",
+                 "--capacity", "1", "--items", "20", "--inverted-wait-order",
+                 "--check")
+    assert result == (1, DEADLOCK_CHECK_STDOUT, DEADLOCK_STDERR)
+
+
+def test_simulate_check_prints_a_mismatch(capsys, monkeypatch):
+    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    wrong = dataclasses.replace(res, truth=raised_by_one_ns(res.truth, (3, "full_q0")))
+    monkeypatch.setattr(simgen, "simulate", lambda cfg: wrong)
+    code, out, err = run(capsys, "simulate", "--check")
+    assert code == 1
+    assert out == (
+        "checked 6 (tid, semaphore) ledger entries\n"
+        "truncation: tid 1 mutex_q0: truth 49891 ns x1 vs measured 49891 ns x2\n"
+        "truncation: tid 2 empty_q0: truth 0 ns x0 vs measured 1105951 ns x1\n"
+        "mismatch: tid 3 full_q0: truth 7781295 ns x8 vs measured 7781294 ns x8\n"
+        "truncation: tid 3 mutex_q0: truth 0 ns x0 vs measured 1105951 ns x1\n"
+        "truncation: tid 4 full_q0: truth 6915143 ns x8 vs measured 8689906 ns x9\n"
+        "replay: 5 discrepancies\n"
+    )
+    assert err == DEADLOCK_STDERR
 
 
 def test_simulate_invalid_config(capsys):

@@ -34,13 +34,7 @@ from latprof.parsers import (
     parse_perf_script,
 )
 from latprof.profile_agg import flat_profile
-from latprof.sched_analysis import (
-    ThreadState,
-    ThreadTimeline,
-    TimelineInterval,
-    Timelines,
-    summarize_waits,
-)
+from latprof.sched_analysis import ThreadState, WaitSummary
 from latprof.trace_model import (
     Frame,
     TraceEvent,
@@ -322,9 +316,9 @@ def test_report_mutrace_columns():
 
 
 def test_report_wait_section():
-    wait = TimelineInterval(0, 4_000_000, ThreadState.SLEEPING, reason=WaitReason.LOCK)
-    timelines = Timelines(by_tid={5: ThreadTimeline(5, intervals=[wait])})
-    text = render_text_report(None, summarize_waits(timelines))
+    summary = WaitSummary()
+    summary.add(5, 0, 4_000_000, ThreadState.SLEEPING, (), WaitReason.LOCK)
+    text = render_text_report(None, summary)
     assert "Lock" in text
     assert "0.004000" in text
 
@@ -336,7 +330,7 @@ def test_report_json_bundles_views():
     events = [ev(), ev(comm="scp", ts="11.0")]
     doc = json.loads(to_report_json(
         profile=flat_profile(events, group_by=("comm",)),
-        wait_summary=summarize_waits(Timelines()),
+        wait_summary=WaitSummary(),
         histogram=events_per_second(events, 1),
         pie=utilization_pie(events),
     ))

@@ -3,13 +3,9 @@ import random
 from latprof.sched_analysis import (
     AnalysisConfig,
     ThreadState,
-    ThreadTimeline,
-    TimelineInterval,
-    Timelines,
-    build_timelines,
+    WaitSummary,
     canonical_sort,
     classify_wait,
-    summarize_waits,
 )
 from latprof.trace_model import (
     Frame,
@@ -17,6 +13,8 @@ from latprof.trace_model import (
     WaitReason,
     parse_ns,
 )
+
+from intervals import walk_intervals
 
 
 def switch(ts, prev_pid, prev_state, next_pid, cpu=0, stack=(), prev_comm="t",
@@ -47,14 +45,14 @@ def traced(ts, tid, event):
     return TraceEvent("app", tid, tid, 0, parse_ns(str(ts)), event)
 
 
-def states(timeline):
-    return [(iv.start, iv.end, iv.state) for iv in timeline.intervals]
+def states(intervals):
+    return [(iv.start, iv.end, iv.state) for iv in intervals]
 
 
-def intervals_in(tls, state):
+def intervals_in(by_tid, state):
     """(tid, interval) of every `state` interval, in tid order."""
-    return [(tid, iv) for tid in sorted(tls.by_tid)
-            for iv in tls.by_tid[tid].intervals if iv.state is state]
+    return [(tid, iv) for tid in sorted(by_tid)
+            for iv in by_tid[tid] if iv.state is state]
 
 
 def test_sleep_wake_run_cycle():
@@ -64,23 +62,13 @@ def test_sleep_wake_run_cycle():
         wakeup(3.0, 7),
         switch(3.5, 0, "R", 7),
     ]
-    tls = build_timelines(events)
-    t = tls.by_tid[7]
-    assert states(t) == [
+    _, by_tid = walk_intervals(events)
+    assert states(by_tid[7]) == [
         (1_000_000_000, 3_000_000_000, ThreadState.SLEEPING),
         (3_000_000_000, 3_500_000_000, ThreadState.RUNNABLE),
         (3_500_000_000, 3_500_000_000, ThreadState.RUNNING),
     ]
-    assert t.intervals[-1].truncated
-
-
-def test_interval_records_have_no_instance_dict():
-    # slotted: long traces hold one interval record per scheduler transition
-    events = [switch(1.0, 7, "S", 0), wakeup(3.0, 7), switch(3.5, 0, "R", 7)]
-    tls = build_timelines(events)
-    assert tls.by_tid[7].intervals
-    for record in tls.by_tid[7].intervals:
-        assert not hasattr(record, "__dict__")
+    assert by_tid[7][-1].truncated
 
 
 def test_unknown_only_timeline():
@@ -88,9 +76,8 @@ def test_unknown_only_timeline():
         TraceEvent("app", 5, 5, 0, parse_ns("1.0"), "cpu-clock"),
         TraceEvent("app", 5, 5, 0, parse_ns("2.0"), "cpu-clock"),
     ]
-    tls = build_timelines(events)
-    t = tls.by_tid[5]
-    assert states(t) == [(1_000_000_000, 2_000_000_000, ThreadState.UNKNOWN)]
+    _, by_tid = walk_intervals(events)
+    assert states(by_tid[5]) == [(1_000_000_000, 2_000_000_000, ThreadState.UNKNOWN)]
 
 
 def test_preemption_runnable_interval():
@@ -99,8 +86,8 @@ def test_preemption_runnable_interval():
         switch(2.0, 9, "R", 0),
         switch(2.25, 0, "R", 9),
     ]
-    t = build_timelines(events).by_tid[9]
-    assert (2_000_000_000, 2_250_000_000, ThreadState.RUNNABLE) in states(t)
+    _, by_tid = walk_intervals(events)
+    assert (2_000_000_000, 2_250_000_000, ThreadState.RUNNABLE) in states(by_tid[9])
 
 
 def test_wakeup_of_running_thread_is_anomaly():
@@ -109,9 +96,9 @@ def test_wakeup_of_running_thread_is_anomaly():
         wakeup(2.0, 3),  # contradictory: already running
         switch(3.0, 3, "S", 0),
     ]
-    tls = build_timelines(events)
-    assert tls.anomalies == 1
-    assert (1_000_000_000, 3_000_000_000, ThreadState.RUNNING) in states(tls.by_tid[3])
+    walk, by_tid = walk_intervals(events)
+    assert walk.anomalies == 1
+    assert (1_000_000_000, 3_000_000_000, ThreadState.RUNNING) in states(by_tid[3])
 
 
 def test_first_sighting_opens_unknown_from_origin():
@@ -119,13 +106,13 @@ def test_first_sighting_opens_unknown_from_origin():
         switch(1.0, 4, "S", 0),   # origin; tid 4 sighted immediately
         switch(5.0, 8, "S", 0),   # tid 8 first sighted mid-trace
     ]
-    tls = build_timelines(events)
-    assert states(tls.by_tid[8])[0] == (1_000_000_000, 5_000_000_000, ThreadState.UNKNOWN)
+    _, by_tid = walk_intervals(events)
+    assert states(by_tid[8])[0] == (1_000_000_000, 5_000_000_000, ThreadState.UNKNOWN)
 
 
 def test_idle_tid_zero_not_tracked():
-    tls = build_timelines([switch(1.0, 6, "S", 0), wakeup(2.0, 6)])
-    assert 0 not in tls.by_tid
+    _, by_tid = walk_intervals([switch(1.0, 6, "S", 0), wakeup(2.0, 6)])
+    assert 0 not in by_tid
 
 
 def test_timeline_conservation_random_streams():
@@ -148,15 +135,15 @@ def test_timeline_conservation_random_streams():
                                          args={"pid": str(rng.randint(1, 4))}))
             else:
                 events.append(TraceEvent("a", tid, tid, 0, t, "cpu-clock"))
-        tls = build_timelines(events)
-        window = tls.end - tls.origin
-        for tid, timeline in tls.by_tid.items():
-            assert sum(iv.end - iv.start for iv in timeline.intervals) == window
+        walk, by_tid = walk_intervals(events)
+        window = walk.end - walk.origin
+        for intervals in by_tid.values():
+            assert sum(iv.end - iv.start for iv in intervals) == window
             # intervals abut and are sorted
-            for a, b in zip(timeline.intervals, timeline.intervals[1:]):
+            for a, b in zip(intervals, intervals[1:]):
                 assert a.end == b.start
             # exactly the Sleeping and Runnable intervals are waits
-            for iv in timeline.intervals:
+            for iv in intervals:
                 assert 0 <= iv.start <= iv.end
                 if iv.state is ThreadState.RUNNABLE:
                     assert iv.reason is WaitReason.SCHEDULER_DELAY
@@ -179,22 +166,12 @@ def test_attribution_completeness_random_streams():
                                      rng.randint(0, 3)))
             else:
                 events.append(wakeup(f"{t / 1e9:.9f}", tid))
-        tls = build_timelines(events)
-        summary = summarize_waits(tls)
-        expected = sum(
-            iv.end - iv.start
-            for tl in tls.by_tid.values()
-            for iv in tl.intervals
-            if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE)
-        )
-        n_expected = sum(
-            1
-            for tl in tls.by_tid.values()
-            for iv in tl.intervals
-            if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE)
-        )
-        assert sum(count for _, count in summary.by_stack.values()) == n_expected
-        assert summary.total_ns() == expected
+        walk, by_tid = walk_intervals(events)
+        waits = [iv for intervals in by_tid.values() for iv in intervals
+                 if iv.state in (ThreadState.SLEEPING, ThreadState.RUNNABLE)]
+        summary = walk.summary
+        assert sum(count for _, count in summary.by_stack.values()) == len(waits)
+        assert summary.total_ns() == sum(iv.end - iv.start for iv in waits)
 
 
 def test_equal_timestamp_permutation_determinism():
@@ -213,7 +190,7 @@ def test_equal_timestamp_permutation_determinism():
         traced(4.0, 7, "block:block_rq_issue"),
         switch(4.0, 7, "S", 0),
     ]
-    reference = summarize_waits(build_timelines(base))
+    reference = walk_intervals(base)[0].summary
     assert {reason for _, reason in reference.by_tid_reason} == {
         WaitReason.NETWORK, WaitReason.TIMER, WaitReason.BLOCK_IO,
         WaitReason.SCHEDULER_DELAY}
@@ -221,7 +198,7 @@ def test_equal_timestamp_permutation_determinism():
     for _ in range(20):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        summary = summarize_waits(build_timelines(shuffled))
+        summary = walk_intervals(shuffled)[0].summary
         assert summary.by_tid_reason == reference.by_tid_reason
         assert summary.histogram == reference.histogram
 
@@ -230,14 +207,14 @@ def test_attribute_lock_stack():
     lock_stack = (Frame(symbol="futex_wait", dso="[kernel]"),
                   Frame(symbol="main", dso="app"))
     events = [switch(1.0, 2, "S", 0, stack=lock_stack), wakeup(2.0, 2)]
-    (_, blocked), = intervals_in(build_timelines(events), ThreadState.SLEEPING)
+    (_, blocked), = intervals_in(walk_intervals(events)[1], ThreadState.SLEEPING)
     assert blocked.reason is WaitReason.LOCK
     assert blocked.stack == lock_stack
 
 
 def test_attribute_runnable_is_scheduler_delay():
     events = [switch(1.0, 2, "R", 0), switch(2.0, 0, "R", 2)]
-    runnable = intervals_in(build_timelines(events), ThreadState.RUNNABLE)
+    runnable = intervals_in(walk_intervals(events)[1], ThreadState.RUNNABLE)
     assert runnable and all(iv.reason is WaitReason.SCHEDULER_DELAY
                             for _, iv in runnable)
 
@@ -246,7 +223,7 @@ def test_attribute_block_event_within_window():
     block_ev = TraceEvent("app", 2, 2, 0, parse_ns("0.9995"),
                           "block:block_rq_issue")
     events = [block_ev, switch(1.0, 2, "D", 0), wakeup(2.0, 2)]
-    blocked = [iv for tid, iv in intervals_in(build_timelines(events),
+    blocked = [iv for tid, iv in intervals_in(walk_intervals(events)[1],
                                               ThreadState.SLEEPING) if tid == 2]
     assert blocked[0].reason is WaitReason.BLOCK_IO
 
@@ -261,7 +238,7 @@ def test_pending_syscall_tracked_through_exit():
         switch(2.0, 2, "S", 0),   # no pending syscall anymore
         wakeup(2.5, 2),
     ]
-    waits = [iv for _, iv in intervals_in(build_timelines(events),
+    waits = [iv for _, iv in intervals_in(walk_intervals(events)[1],
                                           ThreadState.SLEEPING)]
     assert waits[0].reason is WaitReason.LOCK
     assert waits[1].reason is WaitReason.UNKNOWN
@@ -346,8 +323,8 @@ def test_wait_reasons_match_brute_force_reference():
         events = _random_correlated_stream(rng)
         ordered = canonical_sort(events)
         for lookback_ns in (0, 10**6, 5 * 10**6):
-            tls = build_timelines(events, AnalysisConfig(lookback_ns=lookback_ns))
-            for tid, iv in intervals_in(tls, ThreadState.SLEEPING):
+            _, by_tid = walk_intervals(events, AnalysisConfig(lookback_ns=lookback_ns))
+            for tid, iv in intervals_in(by_tid, ThreadState.SLEEPING):
                 assert iv.reason is _reference_reason(ordered, tid, iv.start,
                                                       lookback_ns)
                 checked += 1
@@ -386,24 +363,24 @@ def test_classify_custom_lock_symbols():
                          frozenset({"my_spin_lock"})) is WaitReason.LOCK
 
 
-# --- summarize_waits ---
+# --- WaitSummary ---
 
 
 def make_wait(tid, start_ns, end_ns, reason=WaitReason.LOCK, stack=()):
-    """(tid, Sleeping interval) with the given wait reason."""
-    return tid, TimelineInterval(start_ns, end_ns, ThreadState.SLEEPING, stack, reason)
+    """A Sleeping interval with the given wait reason, as a walk's sink
+    gets it."""
+    return tid, start_ns, end_ns, ThreadState.SLEEPING, stack, reason, False
 
 
 def summarize(waits):
-    """summarize_waits over timelines holding the (tid, interval) waits."""
-    tls = Timelines()
-    for tid, iv in waits:
-        tls.by_tid.setdefault(tid, ThreadTimeline(tid)).intervals.append(iv)
-    return summarize_waits(tls)
+    summary = WaitSummary()
+    for wait in waits:
+        summary.add(*wait)
+    return summary
 
 
 def test_summary_empty():
-    s = summarize_waits(Timelines())
+    s = WaitSummary()
     assert s.by_tid_reason == {} and s.histogram == {}
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from latprof.lock_analysis import (
 )
 from latprof.simgen import (
     ConfigError,
+    Discrepancy,
     GroundTruth,
     SimConfig,
     SplitMix64,
@@ -293,3 +296,65 @@ def test_out_of_order_acquisition_row_raises(request_ns, grant_ns, release_ns):
     sim = _Simulator(small_cfg())
     with pytest.raises(AssertionError):
         sim._record_acquisition(1, mutex_lock_id(0), request_ns, grant_ns, 1, release_ns)
+
+
+def raised_by_one_ns(truth, key):
+    """A copy of `truth` whose ledger entry `key` is 1 ns longer."""
+    ns, count = truth.blocked[key]
+    return dataclasses.replace(truth, blocked={**truth.blocked, key: [ns + 1, count]})
+
+
+def test_replay_check_flags_a_wrong_ledger_entry_as_mismatch():
+    # a deadlocked run has no completion instant, and tid 3's full_q0
+    # blocks all completed, so only the analyzer can be at fault for them
+    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    key = (3, "full_q0")
+    ns, count = res.truth.blocked[key]
+    before = replay_check(res.events, res.truth)
+    after = replay_check(res.events, raised_by_one_ns(res.truth, key))
+    wrong = Discrepancy(kind="mismatch", tid=3, sem="full_q0", truth_ns=ns + 1,
+                        measured_ns=ns, truth_count=count, measured_count=count)
+    assert after.discrepancies == sorted(before.discrepancies + [wrong],
+                                         key=lambda d: (d.tid, d.sem))
+    assert (after.checked, after.anomalies) == (before.checked, before.anomalies)
+
+
+def test_replay_check_on_a_completed_run_flags_one_wrong_entry():
+    # A completed run's trace ends at its last event, before the final
+    # compute ends at `completion_ns`, so the stream counts as truncated and
+    # the one discrepancy is named "truncation".
+    res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
+                             items_per_producer=8, jitter=0.2, seed=99))
+    key = min(res.truth.blocked)
+    ns, count = res.truth.blocked[key]
+    report = replay_check(res.events, raised_by_one_ns(res.truth, key))
+    assert report.discrepancies == [Discrepancy(
+        kind="truncation", tid=key[0], sem=key[1], truth_ns=ns + 1, measured_ns=ns,
+        truth_count=count, measured_count=count)]
+
+
+def _reverse_equal_timestamp_groups(events):
+    return [ev for _, group in itertools.groupby(events, key=lambda ev: ev.ts)
+            for ev in reversed(list(group))]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_replay_check_ignores_order_within_a_timestamp(name):
+    res = simulate(small_cfg(**GOLDEN_RUNS[name][0]))
+    reversed_groups = _reverse_equal_timestamp_groups(res.events)
+    assert reversed_groups != res.events  # the trace has equal-timestamp groups
+    assert replay_check(reversed_groups, res.truth) == replay_check(res.events,
+                                                                    res.truth)
+
+
+def test_replay_check_kinds_on_a_cut_deadlocked_run():
+    # A deadlocked run has no completion instant.  Cut in half, its trace
+    # leaves tid 3 asleep on full_q0, a wait the whole run completed: the
+    # walk flags that interval truncated, so the entry reads "truncation".
+    # tid 2's mutex_q0 blocks all fall after the cut, so nothing marks
+    # them and they read as a mismatch.
+    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    report = replay_check(res.events[: len(res.events) // 2], res.truth)
+    assert [(d.kind, d.tid, d.sem) for d in report.discrepancies] == [
+        ("mismatch", 2, "mutex_q0"), ("truncation", 3, "full_q0"),
+        ("truncation", 4, "full_q0")]
