@@ -400,34 +400,40 @@ def cmd_simulate(args) -> int:
         jitter=args.jitter,
         inverted_wait_order=args.inverted_wait_order,
     )
-    result = simgen.simulate(cfg)
-    if result.truth.deadlocked:
-        stuck = ", ".join(f"tid {tid} on {sem}" for tid, sem, _ in result.truth.pending)
-        print(f"deadlock reached: {stuck}", file=sys.stderr)
-    if result.truth.timed_out:
-        print("simulated-time limit hit before completion", file=sys.stderr)
+    truth = simgen.GroundTruth()
+    rows = [] if args.acquisitions else None
+    events = simgen.simulate_events(cfg, truth, rows)
+    with _spooled_output(args.out) as spool:
+        # the run streams into the check or the trace writer; its ledger
+        # and acquisition rows are complete once its events are exhausted
+        if args.check:
+            report = simgen.replay_check(events, truth)
+            lines = [f"checked {report.checked} (tid, semaphore) ledger entries"]
+            for d in report.discrepancies:
+                lines.append(
+                    f"{d.kind}: tid {d.tid} {d.sem}: truth {d.truth_ns} ns x{d.truth_count}"
+                    f" vs measured {d.measured_ns} ns x{d.measured_count}")
+            lines.append("replay: " + ("clean" if report.clean else
+                                       f"{len(report.discrepancies)} discrepancies"))
+            spool.write("\n".join(lines) + "\n")
+        else:
+            writer = export.PerfScriptWriter(spool.write)
+            _feed(events, [writer])
+            writer.flush()
+        if truth.deadlocked:
+            stuck = ", ".join(f"tid {tid} on {sem}" for tid, sem, _ in truth.pending)
+            print(f"deadlock reached: {stuck}", file=sys.stderr)
+        if truth.timed_out:
+            print("simulated-time limit hit before completion", file=sys.stderr)
 
-    if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as handle:
-            handle.write(result.truth.to_json())
-    if args.acquisitions:
-        with open(args.acquisitions, "w", encoding="utf-8") as handle:
-            handle.write(lock_analysis.write_acquisitions_csv(result.acquisitions))
-
-    if args.check:
-        report = simgen.replay_check(result.events, result.truth)
-        lines = [f"checked {report.checked} (tid, semaphore) ledger entries"]
-        for d in report.discrepancies:
-            lines.append(
-                f"{d.kind}: tid {d.tid} {d.sem}: truth {d.truth_ns} ns x{d.truth_count}"
-                f" vs measured {d.measured_ns} ns x{d.measured_count}")
-        lines.append("replay: " + ("clean" if report.clean else
-                                   f"{len(report.discrepancies)} discrepancies"))
-        _write_output("\n".join(lines) + "\n", args.out)
-        return 0 if report.clean else 1
-
-    _write_output(export.render_perf_script(result.events), args.out)
-    return 0
+        if args.truth:
+            with open(args.truth, "w", encoding="utf-8") as handle:
+                handle.write(truth.to_json())
+        if args.acquisitions:
+            with open(args.acquisitions, "w", encoding="utf-8") as handle:
+                handle.write(lock_analysis.write_acquisitions_csv(
+                    simgen.lock_acquisitions(rows)))
+    return 1 if args.check and not report.clean else 0
 
 
 def _export_rows(args) -> int:

@@ -477,26 +477,49 @@ def _frame_line(frame) -> str:
     return f"\n\t{frame.address or 0:x} {symbol}{offset} ({dso})"
 
 
-def render_perf_script(events) -> str:
-    """Write events in the perf-script text grammar the parsers accept.
+class PerfScriptWriter(_RowWriter):
+    """Events in the perf-script text grammar the parsers accept: a block
+    per event added, the blocks separated by blank lines.
 
     Timestamps render with nine fractional digits so the parse/render
     round trip is exact at nanosecond resolution.  Frames without an
     address render address 0.
     """
-    blocks = []
-    stack_text = {}  # stack -> its frame lines, formatted once per call
-    for ev in events:
-        if "raw" in ev.args and len(ev.args) == 1:
-            payload = ev.args["raw"]
+
+    def __init__(self, write):
+        super().__init__(write)
+        self._stack_text = {}  # stack -> its frame lines, formatted once
+        # id(args) -> (args, its payload text), formatted once per shared
+        # args dict; holding each dict keeps its id from being reused
+        self._payloads = {}
+        self._separator = ""  # the blank line before every block but the first
+
+    def _payload(self, args) -> str:
+        cached = self._payloads.get(id(args))
+        if cached is not None:
+            return cached[1]
+        if "raw" in args and len(args) == 1:
+            payload = args["raw"]
         else:
-            payload = " ".join(f"{k}={v}" for k, v in ev.args.items())
+            payload = " ".join(f"{k}={v}" for k, v in args.items())
+        self._payloads[id(args)] = (args, payload)
+        return payload
+
+    def add(self, ev) -> None:
+        payload = self._payload(ev.args)
         period = f"{ev.period} " if ev.period != 1 else ""
         header = (f"{ev.comm} {ev.pid}/{ev.tid} [{ev.cpu:03d}] "
                   f"{format_ns(ev.ts)}: {period}{ev.event}: {payload}".rstrip())
-        frames = stack_text.get(ev.stack)
+        frames = self._stack_text.get(ev.stack)
         if frames is None:
-            frames = stack_text[ev.stack] = "".join(
+            frames = self._stack_text[ev.stack] = "".join(
                 _frame_line(frame) for frame in ev.stack)
-        blocks.append(header + frames)
-    return "\n\n".join(blocks) + "\n" if blocks else ""
+        self._rows.append(f"{self._separator}{header}{frames}\n")
+        self._separator = "\n"
+        if len(self._rows) >= _BLOCK_ROWS:
+            self.flush()
+
+
+def render_perf_script(events) -> str:
+    """`PerfScriptWriter`'s text for a list of events, in list order."""
+    return _written(PerfScriptWriter, events)

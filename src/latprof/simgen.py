@@ -10,6 +10,16 @@ scheduler trace (sched_switch/sched_wakeup with stacks naming the wait
 site), and keeps an exact ledger of every completed block interval — the
 verification oracle for the scheduler analysis.
 
+The run is a stream: `simulate_events` yields the events in time order,
+passing on each virtual instant's once the clock has moved past it (in
+blocks of a few hundred events).  That is safe because the event heap
+pops times that never decrease, and the one retraction (a switch-out
+whose grant arrives at its own block instant) happens within that
+instant.  Buffer occupancy is checked as the run goes, and lock
+acquisitions are kept only when asked for, so a run's memory does not
+grow with its length.  `simulate` is the list wrapper that keeps
+everything.
+
 Lock acquisitions are recorded against two lock ids per queue: the buffer
 slot pool (held from the empty/full WAIT grant until the complementary
 SIGNAL) and the mutex.  Under the default wait order both thread kinds
@@ -37,12 +47,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from .lock_analysis import LockAcquisition
-from .sched_analysis import SchedWalk, ThreadState, canonical_sort
+from .sched_analysis import SchedWalk, ThreadState, canonical_stream
 from .trace_model import Frame, TraceEvent
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 MAX_SIM_NS = 3_600_000_000_000  # a run stops, timed out, past this virtual time
+# a run passes its events on once this many have gathered, at the end of an
+# instant: drawn in blocks, they are consumed faster than one at a time
+_BLOCK_EVENTS = 256
 
 
 class ConfigError(ValueError):
@@ -108,6 +121,8 @@ class GroundTruth:
     `blocked` maps (tid, semaphore id like "empty_q0") to
     [total blocked ns, block count] over completed block intervals;
     blocks still pending at a deadlock are listed in `pending`.
+    `last_event_ns` is the timestamp of the run's last emitted event (None
+    for no events); it is not part of `to_json`.
     """
 
     blocked: dict = field(default_factory=dict)
@@ -118,6 +133,7 @@ class GroundTruth:
     timed_out: bool = False
     produced: int = 0
     consumed: int = 0
+    last_event_ns: int | None = None
 
     def to_json(self) -> str:
         doc = {
@@ -141,11 +157,13 @@ class GroundTruth:
 
 @dataclass
 class SimResult:
-    """A finished run.
+    """A finished run, held whole: `simulate`'s list of what
+    `simulate_events` streams.
 
     Switch-out events with the same (semaphore, role) share one read-only
-    stack tuple.  `acquisition_rows` holds each lock acquisition as an int
-    tuple (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns) in
+    stack tuple, and events with the same payload one read-only `args`
+    dict.  `acquisition_rows` holds each lock acquisition as an int tuple
+    (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns) in
     (grant, tid, grant_seq) order; `acquisitions` builds the matching
     `LockAcquisition` list on first read.
     """
@@ -157,18 +175,24 @@ class SimResult:
 
     @cached_property
     def acquisitions(self) -> list:
-        return [
-            LockAcquisition(tid=tid, lock_id=lock, request_ts=request,
-                            grant_ts=grant, release_ts=release)
-            for grant, tid, _, lock, request, release in self.acquisition_rows
-        ]
+        return lock_acquisitions(self.acquisition_rows)
+
+
+def lock_acquisitions(rows) -> list:
+    """The `LockAcquisition` of each acquisition row, in row order."""
+    return [
+        LockAcquisition(tid=tid, lock_id=lock, request_ts=request,
+                        grant_ts=grant, release_ts=release)
+        for grant, tid, _, lock, request, release in rows
+    ]
 
 
 class _Semaphore:
-    def __init__(self, sem_id: str, count: int):
+    def __init__(self, sem_id: str, count: int, lock_id: int):
         self.sem_id = sem_id
         self.count = count
-        self.waiters = deque()  # tids of the blocked threads, in arrival order
+        self.lock_id = lock_id  # the lock a WAIT acquires and a SIGNAL releases
+        self.waiters = deque()  # the blocked threads, in arrival order
 
 
 class _Thread:
@@ -182,31 +206,59 @@ class _Thread:
         self.gen = None
         self.finished = False
         self.blocked_since = None
-        self.blocked_sem = None
-        self.block_event_index = None
+        self.blocked_sem = None  # the _Semaphore it is blocked on
+        self.block_event_index = None  # of its switch-out, in the pending events
         self.open_locks = {}  # lock_id -> (request_ns, grant_ns or None, grant_seq)
+        # the payloads of the events about this thread, shared by them all
+        self.switch_out_args = {
+            "prev_comm": comm, "prev_pid": str(tid), "prev_prio": "120",
+            "prev_state": "S", "next_comm": "swapper", "next_pid": "0",
+            "next_prio": "120",
+        }
+        self.switch_in_args = {
+            "prev_comm": "swapper", "prev_pid": "0", "prev_prio": "120",
+            "prev_state": "R", "next_comm": comm, "next_pid": str(tid),
+            "next_prio": "120",
+        }
+        self.wakeup_args = {"comm": comm, "pid": str(tid), "prio": "120",
+                            "target_cpu": str(self.cpu)}
 
 
 class _Simulator:
-    def __init__(self, cfg: SimConfig):
+    """One run.  `run()` is the generator of its events; `truth`, and
+    `rows` and `crit_intervals` when given, are filled in as it goes and
+    are complete once it is exhausted."""
+
+    def __init__(self, cfg: SimConfig, truth: GroundTruth = None, rows=None,
+                 crit_intervals=None):
         self.cfg = cfg
-        self.events = []
-        self.truth = GroundTruth()
-        self.crit_intervals = {q: [] for q in range(cfg.queues)}
-        self.occupancy_deltas = {q: [] for q in range(cfg.queues)}
+        self.truth = truth if truth is not None else GroundTruth()
+        # (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns), or
+        # None to check each acquisition without keeping it
+        self.rows = rows
+        self.crit_intervals = crit_intervals  # queue -> [(start_ns, end_ns, tid)], or None
+        # events not yet passed on: whole instants up to the current one;
+        # a retracted one is None
+        self.pending = []
+        self.occupancy = {q: 0 for q in range(cfg.queues)}
+        self.truth.max_occupancy = {q: 0 for q in range(cfg.queues)}
+        self.deltas = []  # heap of pending occupancy changes (ns, delta_seq, queue, +-1)
+        self.delta_seq = 0
         self.clock = 0
         self.heap = []
         self.seq = 0
         self.grant_seq = 0
         self._symbols = {}
         self._stacks = {}  # (sem_id, role) -> stack tuple shared by switch-outs
-        self._rows = []  # (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns)
 
+        # signaling mutex releases the mutex; signaling full/empty releases
+        # the signaler's slot-pool unit
         self.sems = {}
         for q in range(cfg.queues):
-            self.sems[("empty", q)] = _Semaphore(f"empty_q{q}", cfg.capacity)
-            self.sems[("full", q)] = _Semaphore(f"full_q{q}", 0)
-            self.sems[("mutex", q)] = _Semaphore(f"mutex_q{q}", 1)
+            self.sems[("empty", q)] = _Semaphore(f"empty_q{q}", cfg.capacity,
+                                                 slots_lock_id(q))
+            self.sems[("full", q)] = _Semaphore(f"full_q{q}", 0, slots_lock_id(q))
+            self.sems[("mutex", q)] = _Semaphore(f"mutex_q{q}", 1, mutex_lock_id(q))
 
         self.to_claim = {q: 0 for q in range(cfg.queues)}
         self.threads = {}
@@ -254,58 +306,39 @@ class _Simulator:
     # -- event emission
 
     def _emit_switch_out(self, thread: _Thread, now: int, sem_id: str):
-        thread.block_event_index = len(self.events)
-        self.events.append(TraceEvent(
+        thread.block_event_index = len(self.pending)
+        self.pending.append(TraceEvent(
             comm=thread.comm, pid=thread.tid, tid=thread.tid, cpu=thread.cpu,
-            ts=now, event="sched:sched_switch",
-            args={
-                "prev_comm": thread.comm, "prev_pid": str(thread.tid),
-                "prev_prio": "120", "prev_state": "S",
-                "next_comm": "swapper", "next_pid": "0", "next_prio": "120",
-            },
+            ts=now, event="sched:sched_switch", args=thread.switch_out_args,
             stack=self._wait_stack(sem_id, thread.role),
         ))
 
     def _emit_switch_in(self, thread: _Thread, now: int):
-        self.events.append(TraceEvent(
+        self.pending.append(TraceEvent(
             comm=thread.comm, pid=thread.tid, tid=thread.tid, cpu=thread.cpu,
-            ts=now, event="sched:sched_switch",
-            args={
-                "prev_comm": "swapper", "prev_pid": "0", "prev_prio": "120",
-                "prev_state": "R",
-                "next_comm": thread.comm, "next_pid": str(thread.tid),
-                "next_prio": "120",
-            },
+            ts=now, event="sched:sched_switch", args=thread.switch_in_args,
         ))
 
     def _emit_wakeup(self, waker: _Thread, woken: _Thread, now: int):
-        self.events.append(TraceEvent(
+        self.pending.append(TraceEvent(
             comm=waker.comm, pid=waker.tid, tid=waker.tid, cpu=waker.cpu,
-            ts=now, event="sched:sched_wakeup",
-            args={"comm": woken.comm, "pid": str(woken.tid), "prio": "120",
-                  "target_cpu": str(woken.cpu)},
+            ts=now, event="sched:sched_wakeup", args=woken.wakeup_args,
         ))
+
+    def _pending_events(self) -> list:
+        """The pending events, minus the retracted ones; none are left
+        pending."""
+        events = [ev for ev in self.pending if ev is not None]
+        self.pending = []
+        if events:
+            self.truth.last_event_ns = events[-1].ts
+        return events
 
     # -- lock acquisition bookkeeping
 
-    @staticmethod
-    def _lock_for(semkey) -> int:
-        kind, q = semkey
-        return mutex_lock_id(q) if kind == "mutex" else slots_lock_id(q)
-
-    def _open_lock(self, thread: _Thread, semkey, now: int):
-        thread.open_locks[self._lock_for(semkey)] = (now, None, None)
-
-    def _grant_lock(self, thread: _Thread, semkey, now: int):
-        lock = self._lock_for(semkey)
-        request, _, _ = thread.open_locks[lock]
+    def _grant_lock(self, thread: _Thread, lock: int, request: int, now: int):
         self.grant_seq += 1
         thread.open_locks[lock] = (request, now, self.grant_seq)
-
-    def _release_lock(self, thread: _Thread, semkey, now: int):
-        lock = self._lock_for(semkey)
-        request, grant, seq = thread.open_locks.pop(lock)
-        self._record_acquisition(thread.tid, lock, request, grant, seq, now)
 
     def _record_acquisition(self, tid, lock, request, grant, seq, release):
         # the invariant LockAcquisition enforces, checked on plain ints
@@ -313,34 +346,58 @@ class _Simulator:
             raise AssertionError(
                 f"lock {lock} tid {tid}: request {request}, grant {grant},"
                 f" release {release} out of order")
-        self._rows.append((grant, tid, seq, lock, request, release))
+        if self.rows is not None:
+            self.rows.append((grant, tid, seq, lock, request, release))
+
+    # -- buffer occupancy, checked as the run goes
+
+    def _add_occupancy_delta(self, when: int, q: int, delta: int):
+        self.delta_seq += 1
+        heapq.heappush(self.deltas, (when, self.delta_seq, q, delta))
+
+    def _apply_occupancy_deltas(self, until: int | None):
+        """Apply the pending occupancy changes due at or before `until`
+        (every one, for None), in (time, arrival) order.  A change is
+        queued when its critical section starts, before it is due, so all
+        changes due by `until` are queued by the time `until` is reached."""
+        deltas = self.deltas
+        capacity = self.cfg.capacity
+        peaks = self.truth.max_occupancy
+        while deltas and (until is None or deltas[0][0] <= until):
+            _, _, q, delta = heapq.heappop(deltas)
+            occupancy = self.occupancy[q] = self.occupancy[q] + delta
+            if not 0 <= occupancy <= capacity:
+                raise AssertionError(f"occupancy {occupancy} out of [0, {capacity}]")
+            if occupancy > peaks[q]:
+                peaks[q] = occupancy
 
     # -- thread programs
 
     def _producer(self, thread: _Thread):
         cfg = self.cfg
         q = thread.queue
-        first = ("mutex", q) if cfg.inverted_wait_order else ("empty", q)
-        second = ("empty", q) if cfg.inverted_wait_order else ("mutex", q)
+        empty, full, mutex = (self.sems[kind, q] for kind in ("empty", "full", "mutex"))
+        first, second = (mutex, empty) if cfg.inverted_wait_order else (empty, mutex)
         for _ in range(cfg.items_per_producer):
             yield ("compute", self._draw(thread, cfg.produce_ns))
             yield ("wait", first)
             yield ("wait", second)
-            yield ("crit", q, self._draw(thread, cfg.critical_ns), "add")
-            yield ("signal", ("mutex", q))
-            yield ("signal", ("full", q))
+            yield ("crit", q, self._draw(thread, cfg.critical_ns), 1)
+            yield ("signal", mutex)
+            yield ("signal", full)
 
     def _consumer(self, thread: _Thread):
         cfg = self.cfg
         q = thread.queue
+        empty, full, mutex = (self.sems[kind, q] for kind in ("empty", "full", "mutex"))
         while self.to_claim[q] > 0:
             self.to_claim[q] -= 1
             yield ("compute", self._draw(thread, cfg.consume_ns))
-            yield ("wait", ("full", q))
-            yield ("wait", ("mutex", q))
-            yield ("crit", q, self._draw(thread, cfg.critical_ns), "remove")
-            yield ("signal", ("mutex", q))
-            yield ("signal", ("empty", q))
+            yield ("wait", full)
+            yield ("wait", mutex)
+            yield ("crit", q, self._draw(thread, cfg.critical_ns), -1)
+            yield ("signal", mutex)
+            yield ("signal", empty)
 
     # -- the event loop
 
@@ -360,39 +417,36 @@ class _Simulator:
                 self._schedule(now + action[1], thread.tid)
                 return
             if kind == "crit":
-                _, q, dur, op = action
-                self.crit_intervals[q].append((now, now + dur, thread.tid))
-                self.occupancy_deltas[q].append(
-                    (now + dur, 1 if op == "add" else -1))
-                if op == "add":
+                _, q, dur, delta = action  # delta: +1 adds an item, -1 removes one
+                if self.crit_intervals is not None:
+                    self.crit_intervals[q].append((now, now + dur, thread.tid))
+                self._add_occupancy_delta(now + dur, q, delta)
+                if delta > 0:
                     self.truth.produced += 1
                 else:
                     self.truth.consumed += 1
                 self._schedule(now + dur, thread.tid)
                 return
+            sem = action[1]
             if kind == "wait":
-                semkey = action[1]
-                sem = self.sems[semkey]
-                self._open_lock(thread, semkey, now)
                 if sem.count > 0:
                     sem.count -= 1
-                    self._grant_lock(thread, semkey, now)
+                    self._grant_lock(thread, sem.lock_id, now, now)
                     continue
-                sem.waiters.append(thread.tid)
+                thread.open_locks[sem.lock_id] = (now, None, None)
+                sem.waiters.append(thread)
                 thread.blocked_since = now
-                thread.blocked_sem = semkey
+                thread.blocked_sem = sem
                 self._emit_switch_out(thread, now, sem.sem_id)
                 return
             if kind == "signal":
-                semkey = action[1]
-                sem = self.sems[semkey]
-                # signaling mutex releases the mutex; signaling full/empty
-                # releases the signaler's slot-pool unit
-                self._release_lock(thread, semkey, now)
+                request, grant, seq = thread.open_locks.pop(sem.lock_id)
+                self._record_acquisition(thread.tid, sem.lock_id, request, grant, seq,
+                                         now)
                 if sem.waiters:
-                    woken = self.threads[sem.waiters.popleft()]
+                    woken = sem.waiters.popleft()
                     blocked_ns = now - woken.blocked_since
-                    self._grant_lock(woken, semkey, now)
+                    self._grant_lock(woken, sem.lock_id, woken.blocked_since, now)
                     if blocked_ns > 0:
                         key = (woken.tid, sem.sem_id)
                         entry = self.truth.blocked.setdefault(key, [0, 0])
@@ -403,7 +457,7 @@ class _Simulator:
                     else:
                         # grant arrived at the block instant: coalesce into
                         # an immediate grant, retracting the switch-out
-                        self.events[woken.block_event_index] = None
+                        self.pending[woken.block_event_index] = None
                     woken.blocked_since = None
                     woken.blocked_sem = None
                     woken.block_event_index = None
@@ -413,20 +467,29 @@ class _Simulator:
                 continue
             raise AssertionError(f"unknown action {action!r}")
 
-    def run(self) -> SimResult:
+    def run(self):
+        """Yield the run's events in time order, each instant's once the
+        clock has moved past it and a block of events has gathered."""
         for tid, thread in sorted(self.threads.items()):
             thread.gen = (self._producer(thread) if thread.role == "producer"
                           else self._consumer(thread))
             self._emit_switch_in(thread, 0)
             self._schedule(0, tid)
 
-        while self.heap:
-            now, tid, _ = heapq.heappop(self.heap)
+        heap, threads, deltas = self.heap, self.threads, self.deltas
+        while heap:
+            now, tid, _ = heapq.heappop(heap)
             if now > MAX_SIM_NS:
                 self.truth.timed_out = True
                 break
-            self.clock = max(self.clock, now)
-            self._advance(self.threads[tid], now)
+            if now > self.clock:
+                if len(self.pending) >= _BLOCK_EVENTS:
+                    yield from self._pending_events()
+                if deltas and deltas[0][0] <= now:
+                    self._apply_occupancy_deltas(now)
+                self.clock = now
+            self._advance(threads[tid], now)
+        yield from self._pending_events()
 
         finished = all(t.finished for t in self.threads.values())
         if finished:
@@ -436,41 +499,43 @@ class _Simulator:
         for thread in self.threads.values():
             if thread.blocked_since is not None:
                 self.truth.pending.append(
-                    (thread.tid, self.sems[thread.blocked_sem].sem_id,
-                     thread.blocked_since))
+                    (thread.tid, thread.blocked_sem.sem_id, thread.blocked_since))
             for lock, (request, grant, seq) in sorted(thread.open_locks.items()):
                 if grant is not None:
                     # granted but never released (wedged in a deadlock):
                     # close at the stop time so the record stays representable
                     self._record_acquisition(thread.tid, lock, request, grant, seq,
                                              max(self.clock, grant))
+        self._apply_occupancy_deltas(None)
+        if self.rows is not None:
+            # (grant, tid, grant_seq) order: grant_seq is unique, so it keeps
+            # same-instant grants in program order and the rest never decides
+            self.rows.sort()
 
-        for q, deltas in self.occupancy_deltas.items():
-            occupancy = 0
-            peak = 0
-            for _, delta in sorted(deltas, key=lambda d: d[0]):
-                occupancy += delta
-                peak = max(peak, occupancy)
-                if not 0 <= occupancy <= self.cfg.capacity:
-                    raise AssertionError(
-                        f"occupancy {occupancy} out of [0, {self.cfg.capacity}]")
-            self.truth.max_occupancy[q] = peak
 
-        # (grant, tid, grant_seq) order: grant_seq is unique, so it keeps
-        # same-instant grants in program order and the rest never decides
-        self._rows.sort()
-        return SimResult(
-            events=[ev for ev in self.events if ev is not None],
-            truth=self.truth,
-            acquisition_rows=self._rows,
-            crit_intervals=self.crit_intervals,
-        )
+def simulate_events(cfg: SimConfig, truth: GroundTruth, acquisition_rows=None):
+    """The events of the bounded-buffer simulation, as a generator that
+    holds only the instants not yet passed on; deterministic in (cfg, seed).
+
+    The config is checked at once.  `truth`, a fresh `GroundTruth`, is
+    filled in as the events are drawn and is complete only once they are
+    exhausted; so is `acquisition_rows`, when it is a list, which then
+    holds `SimResult.acquisition_rows`.
+    """
+    cfg.validate()
+    return _Simulator(cfg, truth, acquisition_rows).run()
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run the bounded-buffer simulation; deterministic in (cfg, seed)."""
+    """Run the bounded-buffer simulation and keep all of it: the list
+    wrapper over the run `simulate_events` streams, which also keeps each
+    queue's critical sections."""
     cfg.validate()
-    return _Simulator(cfg).run()
+    truth, rows = GroundTruth(), []
+    crit_intervals = {q: [] for q in range(cfg.queues)}
+    events = list(_Simulator(cfg, truth, rows, crit_intervals).run())
+    return SimResult(events=events, truth=truth, acquisition_rows=rows,
+                     crit_intervals=crit_intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +574,17 @@ def _sem_from_stack(stack) -> str | None:
 def replay_check(events, truth: GroundTruth) -> ReplayReport:
     """Run the scheduler analysis over simulated events and diff the ledger.
 
-    One walk over one sort: the events are put in canonical order once and
-    fed to a `SchedWalk`, whose sink adds every interval to the walk's wait
-    summary and each Sleeping interval at a `wait_*` site to the measured
-    ledger.  Discrepancies are report content, not faults; intervals cut
-    off by a truncated event stream are flagged as "truncation" rather than
+    One walk, no list and no sort: `events`, any iterable in time order as
+    the simulator emits it (`simulate_events` itself, or a prefix of
+    `SimResult.events`), pass through `canonical_stream`, which orders
+    each equal-timestamp group as `canonical_sort` would, into a
+    `SchedWalk`.  Its sink adds every interval to the walk's wait summary
+    and each Sleeping interval at a `wait_*` site to the measured ledger.
+    `truth` is read only once the events are exhausted, since
+    `simulate_events` fills it in as it runs.  Discrepancies are report
+    content, not faults; those of a stream that ends before the run's last
+    event, of an interval cut off by the stream's end and of a block still
+    pending at a deadlock are flagged as "truncation" rather than
     "mismatch".
     """
     measured = {}  # (tid, sem) -> [ns, count]
@@ -535,15 +606,15 @@ def replay_check(events, truth: GroundTruth) -> ReplayReport:
 
     walk = SchedWalk(sink=sink)
     summary = walk.summary
-    for ev in canonical_sort(events):
+    for ev in canonical_stream([events]):
         walk.add(ev)
     walk.finish()
 
-    # a stream that ends before the simulated completion is truncated; all
-    # of its discrepancies are degradation, not analyzer faults
+    # a stream that ends before the run's last event is truncated; all of
+    # its discrepancies are degradation, not analyzer faults
     stream_truncated = (
-        truth.completion_ns is not None
-        and (walk.end is None or walk.end < truth.completion_ns)
+        truth.last_event_ns is not None
+        and (walk.end is None or walk.end < truth.last_event_ns)
     )
 
     discrepancies = []

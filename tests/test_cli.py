@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latprof import cli, simgen
+from latprof import cli, export, simgen
 from latprof.cli import main
 from latprof.export import render_perf_script
 from latprof.lock_analysis import write_acquisitions_csv
@@ -491,8 +490,13 @@ def test_simulate_check_deadlock_golden(capsys):
 
 def test_simulate_check_prints_a_mismatch(capsys, monkeypatch):
     res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
-    wrong = dataclasses.replace(res, truth=raised_by_one_ns(res.truth, (3, "full_q0")))
-    monkeypatch.setattr(simgen, "simulate", lambda cfg: wrong)
+
+    def wrong_run(cfg, truth, acquisition_rows=None):
+        # like the simulator, fill the ledger in only as the events run out
+        yield from res.events
+        vars(truth).update(vars(raised_by_one_ns(res.truth, (3, "full_q0"))))
+
+    monkeypatch.setattr(simgen, "simulate_events", wrong_run)
     code, out, err = run(capsys, "simulate", "--check")
     assert code == 1
     assert out == (
@@ -505,6 +509,75 @@ def test_simulate_check_prints_a_mismatch(capsys, monkeypatch):
         "replay: 5 discrepancies\n"
     )
     assert err == DEADLOCK_STDERR
+
+
+# a run in which 9 switch-outs are retracted: each of those threads is
+# granted its semaphore at the instant it blocked
+RETRACTING_ARGV = ["simulate", "--producers", "2", "--consumers", "2", "--capacity", "1",
+                   "--items", "10"]
+# stdout sha256, recorded before the simulator streamed its events
+RETRACTING_DIGESTS = {
+    "trace": "e38f734ebd9029f5a41b281a2860beef9f8cb038f6e4d872660477d28511ad0d",
+    "check": "13e0cb31e6fb3a97ca849fce2b9759f828384ca6d7eb7e13b802aead713e9160",
+}
+
+
+@pytest.mark.parametrize("block_events", [1, simgen._BLOCK_EVENTS])
+def test_simulate_retracting_run_digests(capsys, monkeypatch, block_events):
+    # with blocks of one event, each instant leaves the run as soon as the
+    # clock moves past it, so a retraction must stay within its instant
+    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", block_events)
+    switch_outs = []
+    real = simgen._Simulator._emit_switch_out
+
+    def counting(self, thread, now, sem_id):
+        switch_outs.append(now)
+        real(self, thread, now, sem_id)
+
+    monkeypatch.setattr(simgen._Simulator, "_emit_switch_out", counting)
+    code, out, err = run(capsys, *RETRACTING_ARGV)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RETRACTING_DIGESTS["trace"]
+    assert len(switch_outs) - out.count("prev_state=S") == 9
+    code, out, err = run(capsys, *RETRACTING_ARGV, "--check")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RETRACTING_DIGESTS["check"]
+
+
+def test_a_failed_simulate_run_writes_nothing(tmp_path, capsys, monkeypatch):
+    # rows reach the spool in blocks of two and events leave the run one
+    # instant at a time, so part of the trace is written when the run fails
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", 1)
+    wakeups = []
+    real = simgen._Simulator._emit_wakeup
+
+    def failing(self, waker, woken, now):
+        wakeups.append(now)
+        if len(wakeups) == 20:
+            raise ValueError("injected fault")
+        real(self, waker, woken, now)
+
+    monkeypatch.setattr(simgen._Simulator, "_emit_wakeup", failing)
+    spooled = []
+    real_write = cli._Spool.write
+
+    def write(self, text):
+        spooled.append(text)
+        real_write(self, text)
+
+    monkeypatch.setattr(cli._Spool, "write", write)
+    out, truth = tmp_path / "sim.txt", tmp_path / "truth.json"
+    for extra in ([], ["--out", str(out)], ["--check"]):
+        wakeups.clear()
+        spooled.clear()
+        code, stdout, err = run(capsys, "simulate", "--producers", "2", "--consumers", "3",
+                                "--capacity", "1", "--items", "20", "--seed", "5",
+                                "--jitter", "0.3", "--truth", str(truth), *extra)
+        assert (code, stdout, err) == (1, "", "latprof: error: injected fault\n"), extra
+        assert not out.exists() and not truth.exists(), extra
+        if "--check" not in extra:
+            assert spooled, "no rows were written before the fault"
 
 
 def test_simulate_invalid_config(capsys):

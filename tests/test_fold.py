@@ -1,7 +1,8 @@
 """The streaming verbs: `offcpu`, `report` and `export` fold the events in
 one pass and `parse` writes them as they are parsed, with the same stdout,
 stderr and exit code as loading (and, for the analyses, sorting) every
-event, and memory that does not grow with the trace."""
+event, and memory that does not grow with the trace.  `simulate` and
+`simulate --check` stream the simulator's events the same way."""
 
 import contextlib
 import hashlib
@@ -289,4 +290,25 @@ def test_offcpu_memory_does_not_grow_with_the_trace(sim_traces):
 @pytest.mark.parametrize("verb", ["parse", "csv", "bulk"])
 def test_streaming_verb_memory_does_not_grow_with_the_trace(sim_traces, verb):
     small, large = _growth(_FOLD_VERBS[verb], sim_traces)
+    assert large / small < 1.5, (small, large)
+
+
+def _simulate_peak_mib(items, argv) -> float:
+    """tracemalloc's peak, in MiB, of a simulator run of `items` per
+    producer, its output going to a file so that the output is not
+    counted."""
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--producers", "2", "--consumers", "2", "--capacity", "2",
+                     "--items", str(items), "--jitter", "0.2", "--seed", "1"] + argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_simulate_memory_does_not_grow_with_the_run(tmp_path, check):
+    argv = check + ["--out", str(tmp_path / "out.txt")]
+    _simulate_peak_mib(100, argv)  # imports and first-call caches are not the run's
+    small, large = _simulate_peak_mib(100, argv), _simulate_peak_mib(400, argv)
     assert large / small < 1.5, (small, large)

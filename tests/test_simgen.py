@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from latprof import simgen
 from latprof.export import render_perf_script
 from latprof.graph_core import detect_cycles
 from latprof.lock_analysis import (
@@ -23,6 +24,7 @@ from latprof.simgen import (
     replay_check,
     seconds_to_ns,
     simulate,
+    simulate_events,
     slots_lock_id,
 )
 
@@ -298,6 +300,39 @@ def test_out_of_order_acquisition_row_raises(request_ns, grant_ns, release_ns):
         sim._record_acquisition(1, mutex_lock_id(0), request_ns, grant_ns, 1, release_ns)
 
 
+# `latprof simulate --producers 2 --consumers 2 --capacity 1 --items 10`,
+# which retracts 9 switch-outs
+RETRACTING = dict(producers=2, consumers=2, capacity=1, items_per_producer=10,
+                  produce_ns=MS, consume_ns=MS, critical_ns=MS // 10)
+
+
+@pytest.mark.parametrize("block_events", [1, simgen._BLOCK_EVENTS])
+@pytest.mark.parametrize("name", ["retracting"] + sorted(GOLDEN_RUNS))
+def test_streamed_run_equals_the_list(monkeypatch, name, block_events):
+    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", block_events)
+    cfg = small_cfg(**(RETRACTING if name == "retracting" else GOLDEN_RUNS[name][0]))
+    truth, rows = GroundTruth(), []
+    events = list(simulate_events(cfg, truth, rows))
+    res = simulate(cfg)
+    assert events == res.events
+    assert (truth, rows) == (res.truth, res.acquisition_rows)
+    assert truth.last_event_ns == events[-1].ts
+
+
+def test_occupancy_out_of_range_raises():
+    sim = _Simulator(small_cfg())
+    sim._add_occupancy_delta(5, 0, 1)
+    sim._add_occupancy_delta(5, 0, 1)  # a second item in a buffer of one slot
+    sim._apply_occupancy_deltas(4)  # not due yet
+    with pytest.raises(AssertionError, match=r"occupancy 2 out of \[0, 1\]"):
+        sim._apply_occupancy_deltas(5)
+
+
+def test_config_is_checked_before_the_first_event():
+    with pytest.raises(ConfigError):
+        simulate_events(small_cfg(consumers=0), GroundTruth())
+
+
 def raised_by_one_ns(truth, key):
     """A copy of `truth` whose ledger entry `key` is 1 ns longer."""
     ns, count = truth.blocked[key]
@@ -320,16 +355,16 @@ def test_replay_check_flags_a_wrong_ledger_entry_as_mismatch():
 
 
 def test_replay_check_on_a_completed_run_flags_one_wrong_entry():
-    # A completed run's trace ends at its last event, before the final
-    # compute ends at `completion_ns`, so the stream counts as truncated and
-    # the one discrepancy is named "truncation".
+    # The trace is whole: it ends at the run's last event (the final compute
+    # ends later, at `completion_ns`, with no event), so nothing marks the
+    # wrong entry and it reads as a mismatch.
     res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
                              items_per_producer=8, jitter=0.2, seed=99))
     key = min(res.truth.blocked)
     ns, count = res.truth.blocked[key]
     report = replay_check(res.events, raised_by_one_ns(res.truth, key))
     assert report.discrepancies == [Discrepancy(
-        kind="truncation", tid=key[0], sem=key[1], truth_ns=ns + 1, measured_ns=ns,
+        kind="mismatch", tid=key[0], sem=key[1], truth_ns=ns + 1, measured_ns=ns,
         truth_count=count, measured_count=count)]
 
 
@@ -349,12 +384,11 @@ def test_replay_check_ignores_order_within_a_timestamp(name):
 
 def test_replay_check_kinds_on_a_cut_deadlocked_run():
     # A deadlocked run has no completion instant.  Cut in half, its trace
-    # leaves tid 3 asleep on full_q0, a wait the whole run completed: the
-    # walk flags that interval truncated, so the entry reads "truncation".
-    # tid 2's mutex_q0 blocks all fall after the cut, so nothing marks
-    # them and they read as a mismatch.
+    # ends before the run's last event, so every entry it gets wrong reads
+    # "truncation": tid 3's full_q0 wait, cut off asleep, and tid 2's
+    # mutex_q0 blocks, which all fall after the cut.
     res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
     report = replay_check(res.events[: len(res.events) // 2], res.truth)
     assert [(d.kind, d.tid, d.sem) for d in report.discrepancies] == [
-        ("mismatch", 2, "mutex_q0"), ("truncation", 3, "full_q0"),
+        ("truncation", 2, "mutex_q0"), ("truncation", 3, "full_q0"),
         ("truncation", 4, "full_q0")]
