@@ -107,17 +107,10 @@ def _text(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 class _Spool:
     """A verb's output, held UTF-8 encoded in an anonymous temporary file
-    until the verb has succeeded, so that a run that fails writes nothing."""
+    until the verb has succeeded, so that a run that fails writes nothing
+    and every verb writes UTF-8, whatever the encoding of stdout."""
 
     def __init__(self, file):
         self.file = file
@@ -133,9 +126,8 @@ class _Spool:
 
 @contextlib.contextmanager
 def _spooled_output(out_path):
-    """Yield a `_Spool` for output too large to hold in memory, and copy
-    what it holds to `out_path` (stdout when None) if the block ends
-    without an error."""
+    """Yield a `_Spool` for a verb's output, and copy what it holds to
+    `out_path` (stdout when None) if the block ends without an error."""
     with tempfile.TemporaryFile() as file:
         yield _Spool(file)
         file.seek(0)
@@ -146,7 +138,8 @@ def _spooled_output(out_path):
             sys.stdout.flush()
             shutil.copyfileobj(file, sys.stdout.buffer)
         else:  # a text-only stdout, such as an io.StringIO
-            shutil.copyfileobj(io.TextIOWrapper(file, "utf-8", newline=""), sys.stdout)
+            with io.TextIOWrapper(file, "utf-8", newline="") as text:
+                shutil.copyfileobj(text, sys.stdout)
 
 
 def _detect(name: str, source, override) -> str:
@@ -171,15 +164,15 @@ def _perf_lines(name: str, stream, args):
     return lines
 
 
-def _load_events(args, inputs) -> list:
-    """Parse perf-script inputs into one event list, in input order;
-    malformed lines are counted on stderr (or, when strict, raised)."""
-    events = []
+def _input_events(args, inputs):
+    """Yield the perf-script events of each input in turn, in input order;
+    each input's malformed lines are counted on stderr as it ends (or,
+    when strict, raised)."""
     for name, stream in inputs:
-        result = parsers.parse_perf_lines(_perf_lines(name, stream, args), args.strict)
-        _note_malformed(name, result.errors)
-        events.extend(result.events)
-    return events
+        errors = []
+        yield from parsers.perf_events(_perf_lines(name, stream, args), errors,
+                                       args.strict)
+        _note_malformed(name, errors)
 
 
 def _analysis_config(args) -> sched_analysis.AnalysisConfig:
@@ -211,16 +204,16 @@ def _fold_events(args, start) -> list:
     When every input is in time order, events stream from the parse
     through `canonical_stream` into the folds, and no event list is held;
     the inputs share one `PerfInterns`.  When one steps back in time, the
-    inputs are read again from their start: every event is loaded and
-    `canonical_sort`ed, and fresh folds from `start()` are fed that, so
-    the result is the same.  A stream that cannot seek back (a pipe) is
+    inputs are read again from their start, one after another, and every
+    event is `canonical_sort`ed; fresh folds from `start()` are fed that,
+    so the result is the same.  A stream that cannot seek back (a pipe) is
     first copied to a temporary file.  Malformed-line counts go to stderr
     in input order either way.
     """
     from . import sched_analysis
 
     with _open_inputs(args.input) as inputs, contextlib.ExitStack() as spools:
-        # a stream given twice ('-' twice) is read once, as loading reads it
+        # a stream given twice ('-' twice) is read once, as the sort reads it
         if len({id(stream) for _, stream in inputs}) == len(inputs):
             inputs = [(name, stream if stream.seekable()
                        else spools.enter_context(_spooled(stream)))
@@ -243,7 +236,7 @@ def _fold_events(args, start) -> list:
                     _note_malformed(name, errs)
                 return folds
         folds = start()
-        _feed(sched_analysis.canonical_sort(_load_events(args, inputs)), folds)
+        _feed(sched_analysis.canonical_sort(_input_events(args, inputs)), folds)
         return folds
 
 
@@ -301,8 +294,9 @@ def cmd_report(args) -> int:
     walk, profile = _fold_events(args, lambda: [
         sched_analysis.SchedWalk(config), profile_agg.FlatProfile(args.group_by)])
     _finish_walk(walk)
-    _write_output(export.render_text_report(profile.rows(), walk.summary,
-                                            top_n=args.top), args.out)
+    with _spooled_output(args.out) as spool:
+        spool.write(export.render_text_report(profile.rows(), walk.summary,
+                                              top_n=args.top))
     return 0
 
 
@@ -312,8 +306,8 @@ def cmd_offcpu(args) -> int:
     config = _analysis_config(args)
     [walk] = _fold_events(args, lambda: [sched_analysis.SchedWalk(config)])
     _finish_walk(walk)
-    _write_output(export.render_offcpu_report(walk.summary, walk.comms(), args.top),
-                  args.out)
+    with _spooled_output(args.out) as spool:
+        spool.write(export.render_offcpu_report(walk.summary, walk.comms(), args.top))
     return 0
 
 
@@ -344,7 +338,8 @@ def cmd_locks(args) -> int:
             else:
                 raise parsers.ParseError(
                     f"{name}: locks needs mutrace text or an acquisitions CSV, got {fmt}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    with _spooled_output(args.out) as spool:
+        spool.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -380,7 +375,8 @@ def cmd_graph(args) -> int:
             lines.append("(no cycles)")
     else:
         raise GraphError("choose one of --critical-path/--shortest/--mst/--cycles")
-    _write_output("\n".join(lines) + "\n", args.out)
+    with _spooled_output(args.out) as spool:
+        spool.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -486,8 +482,8 @@ def cmd_export(args) -> int:
     if walk.saw_sched:  # no sched events: no wait sections
         _finish_walk(walk)
         summary = walk.summary
-    _write_output(export.to_report_json(profile.rows(), summary, histogram, pie),
-                  args.out)
+    with _spooled_output(args.out) as spool:
+        spool.write(export.to_report_json(profile.rows(), summary, histogram, pie))
     return 0
 
 

@@ -1,5 +1,11 @@
 """Render analysis results to dashboard-ingestion formats.
 
+Events are rendered by folds, each given every event in canonical order
+by `add`: the writers (`CsvWriter`, `BulkWriter`, `PerfNdjsonWriter`,
+`PerfScriptWriter`) pass their text on to a `write` callable, and
+`EventCounts` tallies the histogram and pie.  The report renderers take
+what the folds have built.
+
 Exported timestamps are relative to the trace origin (the first event's
 timestamp).  The CSV carries the ss.SSS display form, which
 truncates below a millisecond; the bulk NDJSON documents additionally
@@ -12,16 +18,13 @@ byte-stably: LF line endings, ASCII-escaped JSON, insertion-ordered keys.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .trace_model import NS_PER_SEC, format_ns
-
-NS_PER_MS = 10**6
+from .trace_model import NS_PER_MS, NS_PER_SEC, format_ns
 
 CSV_HEADER = ["timestamp", "comm", "pid", "tid", "cpu", "event", "dso", "symbol"]
 
@@ -33,31 +36,12 @@ class BadIndexName(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """Flattened event projection used by the CSV and bulk formats."""
-
-    timestamp_rel: str  # ss.SSS, truncated
-    comm: str
-    pid: int
-    tid: int
-    cpu: int
-    event: str
-    dso: str
-    symbol: str
-
-
 class _JsonText(dict):
     """Per-writer cache: each distinct string (or None) -> its JSON text."""
 
     def __missing__(self, key):
         text = self[key] = json.dumps(key)
         return text
-
-
-def _origin_ns(events) -> int | None:
-    """The trace origin: the earliest event timestamp, in ns."""
-    return min((ev.ts for ev in events), default=None)
 
 
 # rows a writer formats before it passes them on as one block of text
@@ -83,12 +67,12 @@ class _RowWriter:
 
 class _RelativeRowWriter(_RowWriter):
     """A row writer whose rows give each event's time since the trace
-    origin: `origin` ns, or by default the first event added, which is
-    the earliest when events come in canonical order."""
+    origin: the first event added, which is the earliest when events come
+    in canonical order."""
 
-    def __init__(self, write, origin: int | None = None):
+    def __init__(self, write):
         super().__init__(write)
-        self._origin = origin
+        self._origin = None
 
     def _fields(self, ev) -> tuple:
         """The event's ns since the origin, that offset as ss.SSS text
@@ -110,8 +94,8 @@ class CsvWriter(_RelativeRowWriter):
     """RFC-4180 CSV, LF line endings: the header, then one row per event
     added."""
 
-    def __init__(self, write, origin: int | None = None):
-        super().__init__(write, origin)
+    def __init__(self, write):
+        super().__init__(write)
         # csv.writer writes each row as one string, appended to the rows
         self._writerow = csv.writer(SimpleNamespace(write=self._rows.append),
                                     lineterminator="\n",
@@ -135,14 +119,14 @@ class BulkWriter(_RelativeRowWriter):
     """Bulk-indexing NDJSON: an action line then a document line per event
     added, each line ended by a newline as the bulk API requires.
 
-    Documents carry the EventRecord fields plus full-precision `ts_ns`.
+    Documents carry the CSV columns, the timestamp as `timestamp_rel`,
+    plus full-precision `ts_ns`.
     A bad index name is a BadIndexName here.
     """
 
-    def __init__(self, write, index_name: str = DEFAULT_INDEX,
-                 origin: int | None = None):
+    def __init__(self, write, index_name: str = DEFAULT_INDEX):
         check_index_name(index_name)
-        super().__init__(write, origin)
+        super().__init__(write)
         self._action = json.dumps({"index": {"_index": index_name}},
                                   separators=(",", ":"))
         self._q = _JsonText()
@@ -183,46 +167,6 @@ class PerfNdjsonWriter(_RowWriter):
             self.flush()
 
 
-def _written(writer_class, events, *args) -> str:
-    """The text that `writer_class(write, *args)` writes for `events`."""
-    blocks = []
-    writer = writer_class(blocks.append, *args)
-    for ev in events:
-        writer.add(ev)
-    writer.flush()
-    return "".join(blocks)
-
-
-def to_csv(events) -> str:
-    """`CsvWriter`'s text for a list of events, in list order, times
-    relative to the earliest."""
-    return _written(CsvWriter, events, _origin_ns(events))
-
-
-def parse_csv(text: str) -> list:
-    """Repo-internal CSV reader: parse our own export back to records."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError(f"expected CSV header {','.join(CSV_HEADER)}")
-    return [
-        EventRecord(timestamp_rel=r[0], comm=r[1], pid=int(r[2]), tid=int(r[3]),
-                    cpu=int(r[4]), event=r[5], dso=r[6], symbol=r[7])
-        for r in rows[1:]
-    ]
-
-
-def to_bulk_ndjson(events, index_name: str = DEFAULT_INDEX) -> str:
-    """`BulkWriter`'s text for a list of events, in list order, times
-    relative to the earliest (empty input produces empty output)."""
-    return _written(BulkWriter, events, index_name, _origin_ns(events))
-
-
-def to_perf_ndjson(events) -> str:
-    """`PerfNdjsonWriter`'s text for a list of events, in list order."""
-    return _written(PerfNdjsonWriter, events)
-
-
 def to_records_ndjson(records) -> str:
     """`latprof parse` NDJSON of flat records (gprof, oprofile, mutrace and
     strace rows): one object per record with its fields in declaration
@@ -236,20 +180,6 @@ def to_records_ndjson(records) -> str:
             doc[f.name] = float(value) if isinstance(value, Fraction) else value
         lines.append(encode(doc) + "\n")
     return "".join(lines)
-
-
-def parse_bulk_ndjson(text: str) -> list:
-    """Parse our own bulk output back into document dicts."""
-    lines = text.splitlines()
-    if len(lines) % 2 != 0:
-        raise ValueError("bulk output must pair action and document lines")
-    docs = []
-    for i in range(0, len(lines), 2):
-        action = json.loads(lines[i])
-        if "index" not in action or "_index" not in action["index"]:
-            raise ValueError(f"line {i + 1}: not a bulk action line")
-        docs.append(json.loads(lines[i + 1]))
-    return docs
 
 
 @dataclass
@@ -269,7 +199,7 @@ class EventCounts:
     then read `histogram()` and `pie()`.  A bin width that is not positive
     or not a whole number of ns is a ValueError here."""
 
-    def __init__(self, bin_width=1, origin: int | None = None):
+    def __init__(self, bin_width=1):
         self.bin_width = Fraction(bin_width)
         if self.bin_width <= 0:
             raise ValueError("bin width must be positive")
@@ -277,7 +207,7 @@ class EventCounts:
         if width_ns.denominator != 1:
             raise ValueError(f"bin width {bin_width!r} not representable in ns")
         self._width_ns = int(width_ns)
-        self._origin = origin
+        self._origin = None
         self._bins = {}  # bin index -> {comm: count}
         self._weights = {}  # comm -> event count, period weight for samples
 
@@ -308,23 +238,6 @@ class EventCounts:
         if not total:
             return {}
         return {k: Fraction(w, total) for k, w in sorted(self._weights.items())}
-
-
-def events_per_second(events, bin_width=1) -> HistogramView:
-    """Histogram of event counts per time bin, keyed by comm."""
-    counts = EventCounts(bin_width, _origin_ns(events))
-    for ev in events:
-        counts.add(ev)
-    return counts.histogram()
-
-
-def utilization_pie(events) -> dict:
-    """{comm: fraction} of event count (period weight for samples), in comm
-    order; see `EventCounts.pie`."""
-    counts = EventCounts()
-    for ev in events:
-        counts.add(ev)
-    return counts.pie()
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +431,3 @@ class PerfScriptWriter(_RowWriter):
         self._separator = "\n"
         if len(self._rows) >= _BLOCK_ROWS:
             self.flush()
-
-
-def render_perf_script(events) -> str:
-    """`PerfScriptWriter`'s text for a list of events, in list order."""
-    return _written(PerfScriptWriter, events)

@@ -22,9 +22,7 @@ from fractions import Fraction
 
 from .graph_core import Graph
 from .parsers import MalformedRow, MutexStats
-from .trace_model import format_ns, parse_ns
-
-NS_PER_MS = 10**6
+from .trace_model import NS_PER_MS, format_ns, parse_ns
 
 ACQUISITIONS_HEADER = ["tid", "lock_id", "request_ts", "grant_ts", "release_ts"]
 

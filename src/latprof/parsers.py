@@ -128,14 +128,9 @@ def _frame_from_match(m, names: dict) -> Frame:
 def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
     """Parse perf-script text into TraceEvents (stacks attached leaf-first);
     see `perf_events` for the parse itself."""
-    return parse_perf_lines(text.splitlines(), strict)
-
-
-def parse_perf_lines(lines, strict: bool = False) -> PerfParse:
-    """Parse perf-script lines, given without line ends, into one list of
-    events; see `perf_events` for the parse itself."""
     errors = []
-    return PerfParse(events=list(perf_events(lines, errors, strict)), errors=errors)
+    return PerfParse(events=list(perf_events(text.splitlines(), errors, strict)),
+                     errors=errors)
 
 
 def perf_events(lines, errors: list, strict: bool = False, interns=None):

@@ -1,9 +1,11 @@
 """Aggregate sample events into flat profiles and call graphs.
 
-Stacks are leaf-first in memory (perf script print order); the call graph
-reverses them to root-first itself.  Aggregation is period-weighted when
-samples carry a period, count-weighted otherwise, and percents are exact
-rationals of the weight totals so they always sum to 100.
+`FlatProfile` is a fold, given one event at a time as the CLI streams
+them; `build_call_graph` reads a list of events.  Stacks are leaf-first
+in memory (perf script print order); the call graph reverses them to
+root-first itself.  Aggregation is period-weighted when samples carry a
+period, count-weighted otherwise, and percents are exact rationals of
+the weight totals so they always sum to 100.
 """
 
 from __future__ import annotations
@@ -85,15 +87,6 @@ class FlatProfile:
         # order is percent order, and ints compare faster than Fractions
         rows.sort(key=lambda r: (-r.weight, r.key))
         return rows
-
-
-def flat_profile(events, group_by=("comm", "dso", "symbol")):
-    """Aggregate cpu-clock sample events into percent-of-total rows; see
-    `FlatProfile`."""
-    profile = FlatProfile(group_by)
-    for ev in events:
-        profile.add(ev)
-    return profile.rows()
 
 
 @dataclass

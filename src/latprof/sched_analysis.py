@@ -334,6 +334,8 @@ class WaitSummary:
     by_tid_reason: dict = field(default_factory=dict)  # (tid, WaitReason) -> ns
     by_stack: dict = field(default_factory=dict)  # signature -> [ns, count]
     histogram: dict = field(default_factory=dict)  # bucket k -> count
+    # id(stack) -> (stack, its signature), worked out once per stack object;
+    # holding each stack keeps its id from being reused
     _signatures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, tid, start, end, state, stack, reason, truncated=False) -> None:
@@ -344,9 +346,10 @@ class WaitSummary:
         ns = end - start
         key = (tid, reason)
         self.by_tid_reason[key] = self.by_tid_reason.get(key, 0) + ns
-        sig = self._signatures.get(stack)
-        if sig is None:
-            sig = self._signatures[stack] = stack_signature(stack)
+        cached = self._signatures.get(id(stack))
+        if cached is None:
+            cached = self._signatures[id(stack)] = (stack, stack_signature(stack))
+        sig = cached[1]
         cur = self.by_stack.get(sig)
         if cur is None:
             cur = self.by_stack[sig] = [0, 0]

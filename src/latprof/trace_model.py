@@ -17,6 +17,7 @@ import functools
 from dataclasses import dataclass, field
 
 NS_PER_SEC = 10**9
+NS_PER_MS = 10**6
 
 # Tracepoint class prefixes recognized in qualified event names, plus the
 # unqualified cpu-clock sample event.  Anything else maps to "other".

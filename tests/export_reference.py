@@ -1,6 +1,7 @@
 """Reference writers: the per-event CSV, bulk and `parse` NDJSON writers
 that `latprof.export` replaced, kept frozen so tests can compare the
-field-formatting writers against them byte for byte.
+field-formatting writers against them byte for byte, and readers that
+parse the CSV and bulk exports back.
 
 They build an `EventRecord` per event, a dict per bulk
 document and per `parse` event and frame, and call `json.dumps` per line.
@@ -10,9 +11,24 @@ Do not optimise them: their only job is to be obviously right.
 import csv
 import io
 import json
+from dataclasses import dataclass
 
-from latprof.export import CSV_HEADER, EventRecord
+from latprof.export import CSV_HEADER
 from latprof.trace_model import NS_PER_SEC
+
+
+@dataclass(frozen=True)
+class EventRecord:
+    """Flattened event projection used by the CSV and bulk formats."""
+
+    timestamp_rel: str  # ss.SSS, truncated
+    comm: str
+    pid: int
+    tid: int
+    cpu: int
+    event: str
+    dso: str
+    symbol: str
 
 
 def trace_origin(events):
@@ -77,6 +93,33 @@ def to_bulk_ndjson(events, index_name="linuxperf"):
         lines.append(action)
         lines.append(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def parse_csv(text: str) -> list:
+    """Parse our own CSV export back to records."""
+    reader = csv.reader(io.StringIO(text))
+    rows = list(reader)
+    if not rows or rows[0] != CSV_HEADER:
+        raise ValueError(f"expected CSV header {','.join(CSV_HEADER)}")
+    return [
+        EventRecord(timestamp_rel=r[0], comm=r[1], pid=int(r[2]), tid=int(r[3]),
+                    cpu=int(r[4]), event=r[5], dso=r[6], symbol=r[7])
+        for r in rows[1:]
+    ]
+
+
+def parse_bulk_ndjson(text: str) -> list:
+    """Parse our own bulk output back into document dicts."""
+    lines = text.splitlines()
+    if len(lines) % 2 != 0:
+        raise ValueError("bulk output must pair action and document lines")
+    docs = []
+    for i in range(0, len(lines), 2):
+        action = json.loads(lines[i])
+        if "index" not in action or "_index" not in action["index"]:
+            raise ValueError(f"line {i + 1}: not a bulk action line")
+        docs.append(json.loads(lines[i + 1]))
+    return docs
 
 
 def perf_ndjson(events):

@@ -13,14 +13,7 @@ from fractions import Fraction
 import pytest
 
 from latprof.cli import main
-from latprof.export import (
-    events_per_second,
-    parse_bulk_ndjson,
-    parse_csv,
-    to_bulk_ndjson,
-    to_csv,
-    utilization_pie,
-)
+from latprof.export import BulkWriter, CsvWriter, EventCounts
 from latprof.graph_core import (
     CycleError,
     Disconnected,
@@ -38,12 +31,14 @@ from latprof.parsers import (
     parse_mutrace,
     parse_oprofile_flat,
 )
-from latprof.profile_agg import build_call_graph, flat_profile
+from latprof.profile_agg import FlatProfile, build_call_graph
 from latprof.sched_analysis import ThreadState
 from latprof.simgen import SimConfig, replay_check, simulate
 from latprof.trace_model import Frame, TraceEvent, format_ns, parse_ns
 
 import listings
+from export_reference import parse_bulk_ndjson, parse_csv
+from folds import fed, written
 from intervals import walk_intervals
 
 MS = 10**6
@@ -186,18 +181,19 @@ def test_criterion_3_conservation_suites():
 
         for _ in range(1000):  # percent normalization, 100 +- 0.01
             events = _random_samples(rng)
-            rows = flat_profile(events)
+            rows = fed(FlatProfile(), events).rows()
             assert abs(sum(float(r.percent) for r in rows) - 100.0) < 0.01
             assert sum(r.percent for r in rows) == 100  # exact in rationals
 
         for _ in range(1000):  # histogram count conservation
             events = _random_samples(rng)
-            view = events_per_second(events, rng.choice([1, 2, Fraction(1, 2)]))
-            assert view.total() == len(events)
+            events.sort(key=lambda e: e.ts)  # the first event added is the origin
+            counts = fed(EventCounts(rng.choice([1, 2, Fraction(1, 2)])), events)
+            assert counts.histogram().total() == len(events)
 
         for _ in range(1000):  # pie normalization within 1e-9
             events = _random_samples(rng)
-            pie = utilization_pie(events)
+            pie = fed(EventCounts(), events).pie()
             assert abs(sum(float(f) for f in pie.values()) - 1.0) <= 1e-9
             assert sum(pie.values()) == 1
 
@@ -386,7 +382,8 @@ def test_criterion_6_format_roundtrips(tmp_path, capsys):
             TraceEvent("a,b", 30, 30, 1, parse_ns("101.5"), "cpu-clock"),
         ]
 
-        docs = parse_bulk_ndjson(to_bulk_ndjson(events))
+        # in time order: the first event is the origin
+        docs = parse_bulk_ndjson(written(BulkWriter, events))
         origin = min(ev.ts for ev in events)
         for ev, doc in zip(events, docs):
             leaf = ev.leaf()
@@ -399,7 +396,7 @@ def test_criterion_6_format_roundtrips(tmp_path, capsys):
                 "ts_ns": ev.ts - origin,
             }
 
-        records = parse_csv(to_csv(events))
+        records = parse_csv(written(CsvWriter, events))
         for ev, rec in zip(events, records):
             assert rec.timestamp_rel == format_ns(ev.ts - origin)[:-6]
             assert (rec.comm, rec.pid, rec.tid, rec.cpu, rec.event) == (

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from latprof import cli, export, simgen
 from latprof.cli import main
-from latprof.export import render_perf_script
+from latprof.export import PerfScriptWriter
 from latprof.lock_analysis import write_acquisitions_csv
 from latprof.parsers import ParseError
 from latprof.simgen import simulate
 
 import listings
+from folds import written
 from test_simgen import GOLDEN_RUNS, raised_by_one_ns, small_cfg
 
 PERF_TRACE = (
@@ -155,6 +156,35 @@ def test_streamed_output_reaches_a_text_only_stdout(tmp_path, capsys):
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert out.getvalue() == want, verb
+
+
+def test_every_verb_writes_utf8_whatever_the_stdout_encoding(tmp_path, capsys):
+    # a comm, a mutrace flag and graph nodes outside ASCII, under an ASCII
+    # stdout: every verb writes the bytes it writes under UTF-8
+    trace = tmp_path / "trace.txt"
+    trace.write_text(PERF_TRACE.replace("gzip", "café€"), encoding="utf-8")
+    mutrace = tmp_path / "mutrace.txt"
+    mutrace.write_text(listings.MUTRACE.replace("M-.?-.", "M€.?-."), encoding="utf-8")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("café b 1\nb € 2\n", encoding="utf-8")
+    argvs = [[*verb, "--input", str(trace)] for verb in (
+        ["parse"], ["report"], ["offcpu"], ["export", "--format", "csv"],
+        ["export", "--format", "bulk"], ["export", "--format", "json"])]
+    argvs += [["locks", "--input", str(mutrace)],
+              ["graph", "--shortest", "café", "€", "--input", str(edges)],
+              ["simulate", "--items", "3"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = "import sys; from latprof.cli import main; sys.exit(main(sys.argv[1:]))"
+    non_ascii = []
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        non_ascii.append(not out.isascii())
+        got = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"))
+        assert (got.returncode, got.stdout, got.stderr) == (0, out.encode(), b""), argv
+    # the JSON outputs escape what is not ASCII, and simulate names no such text
+    assert non_ascii == [False, True, True, True, False, False, True, True, False]
 
 
 def test_offcpu_no_sched_events(tmp_path, capsys):
@@ -902,7 +932,8 @@ def _input_args(tmp_path, name) -> list:
     if name == "two-input":
         texts = TWO_INPUT_TRACE
     else:
-        texts = [render_perf_script(simulate(small_cfg(**GOLDEN_RUNS[name][0])).events)]
+        events = simulate(small_cfg(**GOLDEN_RUNS[name][0])).events
+        texts = [written(PerfScriptWriter, events)]
     args = []
     for i, text in enumerate(texts):
         path = tmp_path / f"{name}-{i}.txt"

@@ -11,20 +11,13 @@ from latprof.export import (
     BadIndexName,
     BulkWriter,
     CsvWriter,
+    EventCounts,
     PerfNdjsonWriter,
-    EventRecord,
-    events_per_second,
-    parse_bulk_ndjson,
-    parse_csv,
+    PerfScriptWriter,
     render_lock_table,
-    render_perf_script,
     render_text_report,
-    to_bulk_ndjson,
-    to_csv,
-    to_perf_ndjson,
     to_records_ndjson,
     to_report_json,
-    utilization_pie,
 )
 from latprof.parsers import (
     GprofRow,
@@ -33,7 +26,7 @@ from latprof.parsers import (
     SyscallRecord,
     parse_perf_script,
 )
-from latprof.profile_agg import flat_profile
+from latprof.profile_agg import FlatProfile
 from latprof.sched_analysis import ThreadState, WaitSummary
 from latprof.trace_model import (
     Frame,
@@ -44,6 +37,8 @@ from latprof.trace_model import (
 )
 
 import export_reference
+from export_reference import EventRecord, parse_bulk_ndjson, parse_csv
+from folds import fed, written
 
 
 def ev(comm="gzip", tid=1, cpu=0, ts="10.000000000", event="cpu-clock",
@@ -56,22 +51,22 @@ def ev(comm="gzip", tid=1, cpu=0, ts="10.000000000", event="cpu-clock",
 
 
 def test_csv_empty_is_header_only():
-    assert to_csv([]) == "timestamp,comm,pid,tid,cpu,event,dso,symbol\n"
+    assert written(CsvWriter, []) == "timestamp,comm,pid,tid,cpu,event,dso,symbol\n"
 
 
 def test_csv_origin_event_is_zero():
-    text = to_csv([ev(ts="100.5")])
+    text = written(CsvWriter, [ev(ts="100.5")])
     assert text.splitlines()[1].startswith("0.000,gzip,1,1,0,cpu-clock")
 
 
 def test_csv_quotes_comma_fields():
-    text = to_csv([ev(comm="a,b")])
+    text = written(CsvWriter, [ev(comm="a,b")])
     assert '"a,b"' in text
 
 
 def test_csv_timestamp_truncates():
     events = [ev(ts="1.000000000"), ev(ts="1.0019999")]
-    lines = to_csv(events).splitlines()
+    lines = written(CsvWriter, events).splitlines()
     assert lines[1].split(",")[0] == "0.000"
     assert lines[2].split(",")[0] == "0.001"  # truncation, not rounding
 
@@ -79,7 +74,7 @@ def test_csv_timestamp_truncates():
 def test_csv_roundtrip_at_ms_precision():
     stack = (Frame(symbol="deflate", dso="libz.so"),)
     events = [ev(ts="5.1234567", stack=stack), ev(comm="scp", ts="6.5")]
-    records = parse_csv(to_csv(events))
+    records = parse_csv(written(CsvWriter, events))
     assert records[0] == EventRecord("0.000", "gzip", 1, 1, 0, "cpu-clock",
                                      "libz.so", "deflate")
     assert records[1].timestamp_rel == "1.376"  # 6.5 - 5.1234567 truncated
@@ -88,24 +83,24 @@ def test_csv_roundtrip_at_ms_precision():
 
 def test_csv_row_count():
     events = [ev(ts=f"{i}.0") for i in range(1, 8)]
-    assert len(to_csv(events).splitlines()) == len(events) + 1
+    assert len(written(CsvWriter, events).splitlines()) == len(events) + 1
 
 
 # --- bulk NDJSON ---
 
 
 def test_bulk_empty():
-    assert to_bulk_ndjson([]) == ""
+    assert written(BulkWriter, []) == ""
 
 
 def test_bulk_line_arity_and_trailing_newline():
-    text = to_bulk_ndjson([ev()])
+    text = written(BulkWriter, [ev()])
     assert text.endswith("\n")
     assert len(text.splitlines()) == 2
 
 
 def test_bulk_action_lines_carry_index():
-    text = to_bulk_ndjson([ev(), ev(ts="11.0")], index_name="mytrace")
+    text = written(BulkWriter, [ev(), ev(ts="11.0")], "mytrace")
     lines = text.splitlines()
     for i in range(0, len(lines), 2):
         assert json.loads(lines[i]) == {"index": {"_index": "mytrace"}}
@@ -113,7 +108,7 @@ def test_bulk_action_lines_carry_index():
 
 def test_bulk_bad_index_name():
     with pytest.raises(BadIndexName):
-        to_bulk_ndjson([ev()], index_name="Bad Name!")
+        written(BulkWriter, [ev()], "Bad Name!")
 
 
 def test_bulk_roundtrip_preserves_all_fields():
@@ -123,7 +118,7 @@ def test_bulk_roundtrip_preserves_all_fields():
         ev(comm="scp", tid=9, cpu=3, ts="1.500000002",
            event="sched:sched_switch", args={"prev_pid": "9"}),
     ]
-    docs = parse_bulk_ndjson(to_bulk_ndjson(events))
+    docs = parse_bulk_ndjson(written(BulkWriter, events))
     assert docs[0] == {
         "timestamp_rel": "0.000", "comm": "gzip", "pid": 1, "tid": 1, "cpu": 0,
         "event": "cpu-clock", "dso": "libc.so", "symbol": "memcpy", "ts_ns": 0,
@@ -161,11 +156,14 @@ _EVENT = st.builds(
 @given(st.lists(_EVENT, max_size=8), st.from_regex(r"[a-z0-9_-]+", fullmatch=True))
 def test_event_writers_match_reference(events, index_name):
     # the field-formatting writers give the bytes of the per-event
-    # EventRecord/dict/json.dumps writers they replaced (empty input included)
-    assert to_csv(events) == export_reference.to_csv(events)
-    assert to_bulk_ndjson(events, index_name) == \
+    # EventRecord/dict/json.dumps writers they replaced (empty input
+    # included); each row depends only on its event and the earliest
+    # timestamp, so events sorted by time check every row of any order
+    events.sort(key=lambda e: e.ts)  # the first event added is the origin
+    assert written(CsvWriter, events) == export_reference.to_csv(events)
+    assert written(BulkWriter, events, index_name) == \
         export_reference.to_bulk_ndjson(events, index_name)
-    assert to_perf_ndjson(events) == export_reference.perf_ndjson(events)
+    assert written(PerfNdjsonWriter, events) == export_reference.perf_ndjson(events)
 
 
 def test_event_writers_pass_rows_on_in_blocks(monkeypatch):
@@ -180,17 +178,14 @@ def test_event_writers_pass_rows_on_in_blocks(monkeypatch):
             (BulkWriter, export_reference.to_bulk_ndjson),
             (PerfNdjsonWriter, export_reference.perf_ndjson)):
         blocks = []
-        writer = make(blocks.append)  # the origin is the first event added
-        for event in events:
-            writer.add(event)
-        writer.flush()
+        fed(make(blocks.append), events).flush()  # the origin is the first event
         assert len(blocks) == 4, make
         assert "".join(blocks) == reference(events), make
 
 
 def test_pie_of_zero_total_weight_is_empty():
     # samples of period 0 only: no fraction of a zero total
-    assert utilization_pie([ev(period=0), ev(comm="scp", period=0)]) == {}
+    assert fed(EventCounts(), [ev(period=0), ev(comm="scp", period=0)]).pie() == {}
 
 
 _FRACTION = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
@@ -232,18 +227,18 @@ def test_record_ndjson_matches_reference(fmt_records):
 
 def test_histogram_binning():
     events = [ev(ts="100.1"), ev(ts="100.4"), ev(ts="101.2")]
-    view = events_per_second(events, 1)
+    view = fed(EventCounts(1), events).histogram()
     assert [(float(start), counts) for start, counts in view.bins] == [
         (0.0, {"gzip": 2}), (1.0, {"gzip": 1})]
 
 
 def test_histogram_empty():
-    assert events_per_second([], 1).bins == []
+    assert fed(EventCounts(1), []).histogram().bins == []
 
 
 def test_histogram_two_comms_one_bin():
     events = [ev(comm="a", ts="1.0"), ev(comm="b", ts="1.5")]
-    ((_, counts),) = events_per_second(events, 2).bins
+    ((_, counts),) = fed(EventCounts(2), events).histogram().bins
     assert counts == {"a": 1, "b": 1}
 
 
@@ -253,12 +248,13 @@ def test_histogram_count_conservation_randomized():
         events = [ev(comm=rng.choice("abc"), ts=f"{rng.uniform(0, 50):.6f}")
                   for _ in range(rng.randint(1, 60))]
         width = rng.choice([1, 2, Fraction(1, 2)])
-        assert events_per_second(events, width).total() == len(events)
+        events.sort(key=lambda e: e.ts)  # the first event added is the origin
+        assert fed(EventCounts(width), events).histogram().total() == len(events)
 
 
 def test_histogram_rejects_bad_width():
     with pytest.raises(ValueError):
-        events_per_second([ev()], 0)
+        EventCounts(0)
 
 
 # --- pie ---
@@ -266,12 +262,12 @@ def test_histogram_rejects_bad_width():
 
 def test_pie_fractions():
     events = [ev(comm="gzip") for _ in range(3)] + [ev(comm="scp")]
-    pie = utilization_pie(events)
+    pie = fed(EventCounts(), events).pie()
     assert pie == {"gzip": Fraction(3, 4), "scp": Fraction(1, 4)}
 
 
 def test_pie_single_key():
-    assert utilization_pie([ev()]) == {"gzip": 1}
+    assert fed(EventCounts(), [ev()]).pie() == {"gzip": 1}
 
 
 def test_pie_normalization_randomized():
@@ -279,11 +275,11 @@ def test_pie_normalization_randomized():
     for _ in range(200):
         events = [ev(comm=rng.choice("abcd"), period=rng.randint(1, 7))
                   for _ in range(rng.randint(1, 50))]
-        assert sum(utilization_pie(events).values()) == 1
+        assert sum(fed(EventCounts(), events).pie().values()) == 1
 
 
 def test_pie_empty_input():
-    assert utilization_pie([]) == {}
+    assert fed(EventCounts(), []).pie() == {}
 
 
 # --- text report ---
@@ -300,7 +296,7 @@ def test_report_profile_ordering():
                166, 166, 154, 107, 99, 91, 83, 55, 4]
     events = [ev(comm="app", stack=(Frame(symbol=f"s{i:02d}", dso="d"),), period=w)
               for i, w in enumerate(weights)]
-    text = render_text_report(flat_profile(events), None, top_n=3)
+    text = render_text_report(fed(FlatProfile(), events).rows(), None, top_n=3)
     data_lines = [l for l in text.splitlines()
                   if l.strip() and l.split()[0].replace(".", "").isdigit()]
     assert [l.split()[0] for l in data_lines[:3]] == ["29.88", "17.53", "10.09"]
@@ -329,10 +325,10 @@ def test_report_wait_section():
 def test_report_json_bundles_views():
     events = [ev(), ev(comm="scp", ts="11.0")]
     doc = json.loads(to_report_json(
-        profile=flat_profile(events, group_by=("comm",)),
+        profile=fed(FlatProfile(("comm",)), events).rows(),
         wait_summary=WaitSummary(),
-        histogram=events_per_second(events, 1),
-        pie=utilization_pie(events),
+        histogram=fed(EventCounts(1), events).histogram(),
+        pie=fed(EventCounts(), events).pie(),
     ))
     assert set(doc) == {"profile", "wait_totals", "wait_stacks",
                         "wait_histogram_log2_us", "events_per_bin",
@@ -352,7 +348,7 @@ def test_render_parse_identity_no_stacks():
            event="cpu-clock"),
         ev(ts="12347.5", event="syscalls:sys_enter_read", args={"raw": "fd: 3"}),
     ]
-    res = parse_perf_script(render_perf_script(events))
+    res = parse_perf_script(written(PerfScriptWriter, events))
     assert res.errors == []
     for original, parsed in zip(events, res.events):
         assert (original.comm, original.pid, original.tid, original.cpu,
@@ -369,14 +365,14 @@ def test_render_parse_identity_with_stacks():
     events = [ev(event="sched:sched_switch",
                  args={"prev_pid": "1", "prev_state": "S", "next_pid": "0"},
                  stack=stack)]
-    res = parse_perf_script(render_perf_script(events))
+    res = parse_perf_script(written(PerfScriptWriter, events))
     assert res.errors == []
     assert res.events[0].stack == stack
 
 
 def test_render_byte_determinism():
     events = [ev(ts="1.5"), ev(ts="2.5")]
-    assert render_perf_script(events) == render_perf_script(events)
+    assert written(PerfScriptWriter, events) == written(PerfScriptWriter, events)
 
 
 # visible characters: no whitespace (so no line break either), no control,
@@ -428,7 +424,7 @@ def _renderable_events():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_renderable_events(), max_size=6))
 def test_render_parse_round_trip(events):
-    res = parse_perf_script(render_perf_script(events))
+    res = parse_perf_script(written(PerfScriptWriter, events))
     assert res.errors == []
     assert res.events == events
     # the acquisitions CSV's timestamp text round-trips over the same range

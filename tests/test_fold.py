@@ -14,14 +14,15 @@ import pytest
 
 from latprof import export
 from latprof.cli import main
-from latprof.export import render_perf_script
+from latprof.export import PerfScriptWriter
 from latprof.simgen import simulate
 
+from folds import written
 from test_cli import PERF_TRACE
 from test_simgen import GOLDEN_RUNS, small_cfg
 
-_SIM_BLOCKS = render_perf_script(
-    simulate(small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0])).events).split("\n\n")
+_SIM_BLOCKS = written(PerfScriptWriter, simulate(
+    small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0])).events).split("\n\n")
 
 
 def _join(blocks) -> str:
@@ -232,6 +233,56 @@ def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
                         assert _outcome(capsys, argv + extra,
                                         stdin(texts[0].encode())) == want, (case, verb)
     assert got == FOLD_OUTPUTS
+
+
+# (exit code, sha256 of stdout (first 16 hex digits), stderr) when the
+# sort fallback runs, recorded when it loaded each input into a list:
+# "back-then-bad-byte" steps back in its first input, which has a
+# malformed line, and its second input has a byte that is not UTF-8 past
+# where the streaming path stops reading it; "stdin-twice" reads one
+# stream as two inputs, the second read empty
+_BAD_BYTE = ("back-0.txt: 1 malformed lines skipped\n"
+             "latprof: error: back-1.txt: line 131746: byte 0xff is not UTF-8"
+             " (invalid start byte)\n")
+_TWICE = ("<stdin>: 2 malformed lines skipped\n"
+          "latprof: error: <stdin>: cannot detect input format; use --format\n")
+FALLBACK_OUTPUTS = {
+    "back-then-bad-byte": {
+        "csv": (1, "e3b0c44298fc1c14", _BAD_BYTE),
+        "json": (1, "e3b0c44298fc1c14", _BAD_BYTE),
+        "offcpu": (1, "e3b0c44298fc1c14", _BAD_BYTE),
+    },
+    "stdin-twice": {
+        "csv": (1, "e3b0c44298fc1c14", _TWICE),
+        "json": (1, "e3b0c44298fc1c14", _TWICE),
+        "offcpu": (1, "e3b0c44298fc1c14", _TWICE),
+    },
+    "stdin-twice-as-perf": {
+        "offcpu": (0, "b9e80c45fc39cef7", "<stdin>: 2 malformed lines skipped\n"),
+    },
+}
+
+
+def test_fallback_counts_each_inputs_malformed_lines_when_it_ends(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # stderr names the inputs as given
+    (tmp_path / "back-0.txt").write_text(_join(
+        _SIM_BLOCKS[5:20] + ["this is not a header"] + _SIM_BLOCKS[20:40] + _SIM_BLOCKS[:5]))
+    # blank lines past the block the streaming path decodes first
+    (tmp_path / "back-1.txt").write_bytes(
+        (_join(_SIM_BLOCKS[40:]) + "\n" * 2**17).encode() + b"\xff\n")
+    got = {}
+    for verb in ("offcpu", "csv", "json"):
+        argv = _FOLD_VERBS[verb]
+        got.setdefault("back-then-bad-byte", {})[verb] = _outcome(
+            capsys, argv + ["--input", "back-0.txt", "--input", "back-1.txt"])
+        got.setdefault("stdin-twice", {})[verb] = _outcome(
+            capsys, argv + ["--input", "-", "--input", "-"],
+            io.BytesIO(FOLD_INPUTS["malformed"][0].encode()))
+    got["stdin-twice-as-perf"] = {"offcpu": _outcome(
+        capsys, ["offcpu", "--format", "perf", "--input", "-", "--input", "-"],
+        io.BytesIO(FOLD_INPUTS["malformed"][0].encode()))}
+    assert got == FALLBACK_OUTPUTS
 
 
 def test_strict_error_in_a_later_input_writes_nothing(tmp_path, capsys, monkeypatch):

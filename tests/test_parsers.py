@@ -16,9 +16,9 @@ from latprof.parsers import (
     parse_gprof_flat,
     parse_mutrace,
     parse_oprofile_flat,
-    parse_perf_lines,
     parse_perf_script,
     parse_strace,
+    perf_events,
     sniff_format,
 )
 from latprof.trace_model import parse_ns
@@ -158,13 +158,19 @@ def test_perf_script_shares_comm_and_event_names():
 
 
 def _perf_script_outcome(parse, source, strict):
-    """Events and errors of a lenient parse, or the first error of a strict one."""
+    """Events and errors of a lenient parse, or the first error of a strict
+    one; `parse` is `perf_events` or a parser that returns a PerfParse."""
+    errors = []
     try:
-        res = parse(source, strict=strict)
+        if parse is perf_events:
+            events = list(perf_events(source, errors, strict))
+        else:
+            res = parse(source, strict=strict)
+            events, errors = res.events, res.errors
     except MalformedLine as err:
         return "raised", err.lineno, err.reason, err.line
-    return ([(ev, list(ev.args.items())) for ev in res.events],
-            [(err.lineno, err.reason, err.line) for err in res.errors])
+    return ([(ev, list(ev.args.items())) for ev in events],
+            [(err.lineno, err.reason, err.line) for err in errors])
 
 
 # whitespace inside a line, and characters that str.splitlines() also breaks on
@@ -240,7 +246,7 @@ def test_perf_script_matches_reference_parser(groups, as_text):
     # line-at-a-time reference, in lenient mode and (first error) in strict mode
     lines = [line for group in groups for line in group]
     source = "\n".join(lines) if as_text else lines
-    parse = parse_perf_script if as_text else parse_perf_lines
+    parse = parse_perf_script if as_text else perf_events
     for strict in (False, True):
         assert _perf_script_outcome(parse, source, strict) == \
             _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
@@ -257,17 +263,18 @@ def test_perf_script_one_shot_iterator_matches_reference_parser():
     for ids, cpu in (("8/8", "1" * 5000), ("1" * 5000, "000"), ("8/" + "1" * 5000, "000")):
         source = lines(ids, cpu)
         for strict in (False, True):
-            assert _perf_script_outcome(parse_perf_lines, iter(source), strict) == \
+            assert _perf_script_outcome(perf_events, iter(source), strict) == \
                 _perf_script_outcome(perf_script_reference.parse_perf_script,
                                      iter(source), strict)
     for ids in ("1" * 5000, "8/" + "1" * 5000):
         source = lines(ids, "000")
-        res = parse_perf_lines(iter(source))
-        assert [ev.ts for ev in res.events] == [500_000_000, 2_000_000_000]
-        (err,) = res.errors
+        errors = []
+        events = list(perf_events(iter(source), errors))
+        assert [ev.ts for ev in events] == [500_000_000, 2_000_000_000]
+        (err,) = errors
         assert (err.lineno, err.line) == (3, source[2]) and "digits" in err.reason
         with pytest.raises(MalformedLine) as info:
-            parse_perf_lines(iter(source), strict=True)
+            list(perf_events(iter(source), [], strict=True))
         assert (info.value.lineno, info.value.line) == (3, source[2])
 
 

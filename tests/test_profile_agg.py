@@ -4,8 +4,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latprof.profile_agg import build_call_graph, flat_profile
+from latprof.profile_agg import FlatProfile, build_call_graph
 from latprof.trace_model import Frame, TraceEvent
+
+from folds import fed
 
 
 def sample(comm, dso, symbol, tid=1, ts=0, period=1, stack_syms=None):
@@ -27,19 +29,19 @@ FOUR_SAMPLES = [
 
 def test_flat_profile_by_comm():
     # count/total by hand: gzip 3/4, scp 1/4
-    rows = flat_profile(FOUR_SAMPLES, group_by=("comm",))
+    rows = fed(FlatProfile(("comm",)), FOUR_SAMPLES).rows()
     assert [(r.comm, r.percent) for r in rows] == [
         ("gzip", Fraction(75)), ("scp", Fraction(25))]
 
 
 def test_flat_profile_single_event():
-    (row,) = flat_profile([sample("a", "b", "c")])
+    (row,) = fed(FlatProfile(), [sample("a", "b", "c")]).rows()
     assert row.percent == 100
     assert row.samples == 1
 
 
 def test_flat_profile_by_comm_dso():
-    rows = flat_profile(FOUR_SAMPLES, group_by=("comm", "dso"))
+    rows = fed(FlatProfile(("comm", "dso")), FOUR_SAMPLES).rows()
     assert [(r.comm, r.dso, r.percent) for r in rows] == [
         ("gzip", "libz.so", Fraction(50)),
         ("gzip", "libc.so", Fraction(25)),
@@ -50,22 +52,23 @@ def test_flat_profile_by_comm_dso():
 def test_flat_profile_ignores_non_samples():
     events = FOUR_SAMPLES + [
         TraceEvent("gzip", 1, 1, 0, 0, "sched:sched_switch")]
-    assert sum(r.samples for r in flat_profile(events)) == 4
+    assert sum(r.samples for r in fed(FlatProfile(), events).rows()) == 4
 
 
 def test_flat_profile_no_samples():
-    assert flat_profile([TraceEvent("x", 1, 1, 0, 0, "sched:sched_switch")]) == []
+    events = [TraceEvent("x", 1, 1, 0, 0, "sched:sched_switch")]
+    assert fed(FlatProfile(), events).rows() == []
 
 
 def test_flat_profile_zero_total_weight_gives_no_rows():
     # no percent of a zero total
     events = [sample("a", "d", "s1", period=0), sample("b", "d", "s2", period=0)]
-    assert flat_profile(events) == []
+    assert fed(FlatProfile(), events).rows() == []
 
 
 def test_flat_profile_period_weighting():
     events = [sample("a", "d", "s1", period=3), sample("a", "d", "s2", period=1)]
-    rows = flat_profile(events, group_by=("symbol",))
+    rows = fed(FlatProfile(("symbol",)), events).rows()
     assert [(r.symbol, r.weight, r.percent) for r in rows] == [
         ("s1", 3, Fraction(75)), ("s2", 1, Fraction(25))]
 
@@ -73,7 +76,7 @@ def test_flat_profile_period_weighting():
 def test_flat_profile_unknown_symbol_bucket():
     ev = TraceEvent("a", 1, 1, 0, 0, "cpu-clock",
                     stack=(Frame(address=0x123, dso="libx.so"),))
-    (row,) = flat_profile([ev], group_by=("dso", "symbol"))
+    (row,) = fed(FlatProfile(("dso", "symbol")), [ev]).rows()
     assert row.symbol == "[unknown]"
     assert row.dso == "libx.so"
 
@@ -87,15 +90,16 @@ def test_percent_normalization_randomized():
             for _ in range(rng.randint(1, 40))
         ]
         for grouping in (("comm",), ("comm", "dso"), ("comm", "dso", "symbol")):
-            rows = flat_profile(events, group_by=grouping)
+            rows = fed(FlatProfile(grouping), events).rows()
             assert sum(r.percent for r in rows) == 100
 
 
 @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy"),
                           st.integers(1, 5)), min_size=1, max_size=40))
 def test_flat_profile_rows_in_percent_order_ties_by_key(samples):
-    rows = flat_profile([sample(comm, "d.so", symbol, period=period)
-                         for comm, symbol, period in samples])
+    events = [sample(comm, "d.so", symbol, period=period)
+              for comm, symbol, period in samples]
+    rows = fed(FlatProfile(), events).rows()
     assert rows == sorted(rows, key=lambda r: (-r.percent, r.key))
 
 
@@ -107,7 +111,7 @@ def test_top_n_published_listing_order():
     assert sum(weights) == 10000
     events = [sample("app", "dso", f"sym{i:02d}", period=w)
               for i, w in enumerate(weights)]
-    rows = flat_profile(events, group_by=("symbol",))
+    rows = fed(FlatProfile(("symbol",)), events).rows()
     top = rows[:3]
     assert [f"{float(r.percent):.2f}" for r in top] == ["29.88", "17.53", "10.09"]
     assert sum(r.percent for r in rows) == 100

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from latprof import simgen
-from latprof.export import render_perf_script
+from latprof.export import PerfScriptWriter
 from latprof.graph_core import detect_cycles
 from latprof.lock_analysis import (
     LockAcquisition,
@@ -27,6 +27,8 @@ from latprof.simgen import (
     simulate_events,
     slots_lock_id,
 )
+
+from folds import written
 
 SEC = 10**9
 MS = 10**6
@@ -246,7 +248,7 @@ GOLDEN_RUNS = {
 
 
 def _digests(res):
-    texts = (render_perf_script(res.events), res.truth.to_json(),
+    texts = (written(PerfScriptWriter, res.events), res.truth.to_json(),
              write_acquisitions_csv(res.acquisitions))
     return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
 

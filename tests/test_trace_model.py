@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latprof.export import parse_csv, to_csv
+from latprof.export import CsvWriter
 from latprof.trace_model import (
     Frame,
     TraceEvent,
@@ -10,6 +10,9 @@ from latprof.trace_model import (
     format_ns,
     parse_ns,
 )
+
+from export_reference import parse_csv
+from folds import written
 
 
 def test_classify_event_prefixes():
@@ -62,7 +65,8 @@ def test_timestamp_parse_rejects_non_ascii_digits():
 def test_timestamp_format_truncates_milliseconds():
     # the ss.SSS form export writes: truncated below a millisecond, not rounded
     stamps = [0, parse_ns("1.2349"), 999_999, parse_ns("12.300")]
-    rows = parse_csv(to_csv([TraceEvent("x", 1, 1, 0, ts, "cpu-clock") for ts in stamps]))
+    events = [TraceEvent("x", 1, 1, 0, ts, "cpu-clock") for ts in stamps]
+    rows = parse_csv(written(CsvWriter, events))  # the first event is the origin
     assert [r.timestamp_rel for r in rows] == ["0.000", "1.234", "0.000", "12.300"]
 
 
