@@ -27,6 +27,7 @@ from fractions import Fraction
 # the analysis modules are imported by the verbs that use them, so that a
 # run compiles and loads only what its verb needs
 from . import export, parsers
+from .trace_model import STACK_NONE, event_parts
 
 # graph_core.GraphError and simgen.ConfigError are ValueErrors
 _ANALYSIS_ERRORS = (
@@ -164,14 +165,23 @@ def _perf_lines(name: str, stream, args):
     return lines
 
 
-def _input_events(args, inputs):
-    """Yield the perf-script events of each input in turn, in input order;
-    each input's malformed lines are counted on stderr as it ends (or,
-    when strict, raised)."""
+def _stack_depth(folds):
+    """The `depth` to parse for `folds`: of each event name, the most that
+    any of their `add`s reads of its events' stacks."""
+    def depth(event):
+        parts = event_parts(event)
+        return max((fold.stack_depth(*parts) for fold in folds), default=STACK_NONE)
+    return depth
+
+
+def _input_events(args, inputs, depth):
+    """Yield the perf-script events of each input in turn, in input order,
+    their stacks built to `depth`; each input's malformed lines are counted
+    on stderr as it ends (or, when strict, raised)."""
     for name, stream in inputs:
         errors = []
         yield from parsers.perf_events(_perf_lines(name, stream, args), errors,
-                                       args.strict)
+                                       args.strict, depth=depth)
         _note_malformed(name, errors)
 
 
@@ -201,14 +211,15 @@ def _fold_events(args, start) -> list:
     the folds `start()` returns (objects with an `add(event)` method),
     and return those folds.
 
-    When every input is in time order, events stream from the parse
-    through `canonical_stream` into the folds, and no event list is held;
-    the inputs share one `PerfInterns`.  When one steps back in time, the
-    inputs are read again from their start, one after another, and every
-    event is `canonical_sort`ed; fresh folds from `start()` are fed that,
-    so the result is the same.  A stream that cannot seek back (a pipe) is
-    first copied to a temporary file.  Malformed-line counts go to stderr
-    in input order either way.
+    Each event's stack is built only as far as the folds read it (see
+    `_stack_depth`).  When every input is in time order, events stream
+    from the parse through `canonical_stream` into the folds, and no event
+    list is held; the inputs share one `PerfInterns`.  When one steps back
+    in time, that pass is dropped, the inputs are read again from their
+    start, one after another, and every event is `canonical_sort`ed; fresh
+    folds from `start()` are fed that, so the result is the same.  A
+    stream that cannot seek back (a pipe) is first copied to a temporary
+    file.  Malformed-line counts go to stderr in input order either way.
     """
     from . import sched_analysis
 
@@ -218,26 +229,41 @@ def _fold_events(args, start) -> list:
             inputs = [(name, stream if stream.seekable()
                        else spools.enter_context(_spooled(stream)))
                       for name, stream in inputs]
-            starts = [stream.tell() for _, stream in inputs]
-            interns = parsers.PerfInterns()
-            errors = [[] for _ in inputs]
-            events = sched_analysis.canonical_stream([
-                parsers.perf_events(_perf_lines(name, stream, args), errs,
-                                    args.strict, interns)
-                for (name, stream), errs in zip(inputs, errors)])
-            folds = start()
-            try:
-                _feed(events, folds)
-            except sched_analysis.OutOfOrder:
-                for (_, stream), pos in zip(inputs, starts):
-                    stream.seek(pos)
-            else:
-                for (name, _), errs in zip(inputs, errors):
-                    _note_malformed(name, errs)
+            folds = _streamed(args, inputs, start)
+            if folds is not None:
                 return folds
+        # no streaming pass is left: its folds, interns and errors are freed
         folds = start()
-        _feed(sched_analysis.canonical_sort(_input_events(args, inputs)), folds)
+        _feed(sched_analysis.canonical_sort(
+            _input_events(args, inputs, _stack_depth(folds))), folds)
         return folds
+
+
+def _streamed(args, inputs, start):
+    """The folds `start()` returns, fed the events of the seekable `inputs`
+    through `canonical_stream`, with each input's malformed lines counted
+    on stderr; None, every input back at its start, when one steps back in
+    time."""
+    from . import sched_analysis
+
+    starts = [stream.tell() for _, stream in inputs]
+    folds = start()
+    depth = _stack_depth(folds)
+    interns = parsers.PerfInterns()
+    errors = [[] for _ in inputs]
+    events = sched_analysis.canonical_stream([
+        parsers.perf_events(_perf_lines(name, stream, args), errs, args.strict,
+                            interns, depth)
+        for (name, stream), errs in zip(inputs, errors)])
+    try:
+        _feed(events, folds)
+    except sched_analysis.OutOfOrder:
+        for (_, stream), pos in zip(inputs, starts):
+            stream.seek(pos)
+        return None
+    for (name, _), errs in zip(inputs, errors):
+        _note_malformed(name, errs)
+    return folds
 
 
 def _feed(events, folds) -> None:
@@ -277,7 +303,8 @@ def cmd_parse(args) -> int:
                 # each input has its own interns, freed when it ends
                 errors = []
                 writer = export.PerfNdjsonWriter(spool.write)
-                _feed(parsers.perf_events(lines, errors, args.strict), [writer])
+                _feed(parsers.perf_events(lines, errors, args.strict,
+                                          depth=_stack_depth([writer])), [writer])
                 writer.flush()
                 _note_malformed(name, errors)
             elif fmt in _RECORD_FORMATS:

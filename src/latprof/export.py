@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .trace_model import NS_PER_MS, NS_PER_SEC, format_ns
+from .trace_model import NS_PER_MS, NS_PER_SEC, STACK_ALL, STACK_LEAF, STACK_NONE, \
+    format_ns
 
 CSV_HEADER = ["timestamp", "comm", "pid", "tid", "cpu", "event", "dso", "symbol"]
 
@@ -73,6 +74,11 @@ class _RelativeRowWriter(_RowWriter):
     def __init__(self, write):
         super().__init__(write)
         self._origin = None
+
+    @staticmethod
+    def stack_depth(event_class, event_name) -> int:
+        """What `add` reads of an event's stack: the leaf, of every event."""
+        return STACK_LEAF
 
     def _fields(self, ev) -> tuple:
         """The event's ns since the origin, that offset as ss.SSS text
@@ -152,6 +158,11 @@ class PerfNdjsonWriter(_RowWriter):
         self._q = _JsonText()
         self._encode = json.JSONEncoder(separators=(",", ":")).encode
 
+    @staticmethod
+    def stack_depth(event_class, event_name) -> int:
+        """What `add` reads of an event's stack: every frame, of every event."""
+        return STACK_ALL
+
     def add(self, ev) -> None:
         q = self._q
         stack = ",".join(
@@ -210,6 +221,11 @@ class EventCounts:
         self._origin = None
         self._bins = {}  # bin index -> {comm: count}
         self._weights = {}  # comm -> event count, period weight for samples
+
+    @staticmethod
+    def stack_depth(event_class, event_name) -> int:
+        """What `add` reads of an event's stack: nothing."""
+        return STACK_NONE
 
     def add(self, ev) -> None:
         if self._origin is None:

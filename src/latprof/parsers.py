@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .trace_model import NS_PER_SEC, Frame, TraceEvent
+from .trace_model import NS_PER_SEC, STACK_ALL, Frame, TraceEvent
 
 
 class ParseError(Exception):
@@ -98,13 +98,24 @@ class PerfParse:
 class PerfInterns:
     """The text a perf-script parse has seen, each distinct piece parsed or
     stored once.  One instance can serve several inputs of one run, so
-    that their events share it too."""
+    that their events share it too.
+
+    `frames` holds only the frame lines a parse built; `checked` holds
+    frame lines it checked against the grammar but did not build, so that
+    a recurring one is not matched again, and is cleared whenever it
+    reaches `_CHECKED_LINES` lines."""
 
     frames: dict = field(default_factory=dict)  # frame-line text -> Frame
-    stacks: dict = field(default_factory=dict)  # a block's frame-line texts -> stack
+    stacks: dict = field(default_factory=dict)  # a block's built frame-line texts -> stack
     payloads: dict = field(default_factory=dict)  # payload text -> shared args dict
     # comm, event name, frame symbol or dso text -> the one copy kept
     names: dict = field(default_factory=dict)
+    checked: set = field(default_factory=set)  # frame-line texts checked, not built
+
+
+# `PerfInterns.checked` is cleared when it holds this many lines: a line
+# checked again costs one more match, never a different answer
+_CHECKED_LINES = 1 << 11
 
 
 def _parse_payload(payload: str) -> dict:
@@ -125,15 +136,16 @@ def _frame_from_match(m, names: dict) -> Frame:
     )
 
 
-def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
+def parse_perf_script(text: str, strict: bool = False, depth=None) -> PerfParse:
     """Parse perf-script text into TraceEvents (stacks attached leaf-first);
     see `perf_events` for the parse itself."""
     errors = []
-    return PerfParse(events=list(perf_events(text.splitlines(), errors, strict)),
+    return PerfParse(events=list(perf_events(text.splitlines(), errors, strict,
+                                             depth=depth)),
                      errors=errors)
 
 
-def perf_events(lines, errors: list, strict: bool = False, interns=None):
+def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=None):
     """Yield the events of perf-script lines, given without line ends, as
     each sample block ends.
 
@@ -143,8 +155,15 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None):
     mode raises on the first such line.  Lenient parsing never raises:
     every line is an event header, a frame, a blank, or a reported error.
 
-    Each distinct frame line, stack, payload, comm, event name, frame
-    symbol and dso is parsed or stored once per `interns` (a fresh
+    `depth(event)` gives, for a qualified event name, how much of the
+    stacks of that name's events to build: `STACK_ALL` (every frame),
+    `STACK_LEAF` (the leaf frame only) or `STACK_NONE` (the empty stack).
+    It is called once per distinct name; when `depth` is None, every frame
+    of every event is built.  Frame lines not built are still checked
+    against the frame grammar, so the errors never depend on `depth`.
+
+    Each distinct built frame line, stack, payload, comm, event name,
+    frame symbol and dso is parsed or stored once per `interns` (a fresh
     PerfInterns when None), and events share them: interned `Frame`
     objects and stack tuples, one args dict per distinct payload, one
     string per distinct name.  Treat shared args dicts as read-only, like
@@ -156,7 +175,13 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None):
     stacks = interns.stacks
     payloads = interns.payloads
     names = interns.names
-    pending = None  # (lineno, header line, header groups, frame-line texts)
+    checked = interns.checked
+    checked_lines = _CHECKED_LINES
+    depths = {}  # event name -> how much of its events' stacks to build
+    pending = None  # (lineno, header line, header groups, built frame-line texts)
+    # the pending block's built frame-line texts: while it builds every
+    # frame, and until its leaf comes when it builds only that; else None
+    build_all = build_leaf = None
 
     def fail(err: MalformedLine):
         if strict:
@@ -199,11 +224,13 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None):
 
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
+            build_all = build_leaf = None
             event = flush()
             if event is not None:
                 yield event
             continue
         if line[0] not in " \t":
+            build_all = build_leaf = None
             event = flush()
             if event is not None:
                 yield event
@@ -211,18 +238,46 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None):
             if m is None:
                 fail(MalformedLine(lineno, line, "unrecognized event header"))
                 continue
-            pending = (lineno, line, m.groups(), [])
-        else:
+            groups = m.groups()
+            name = groups[6]
+            want = depths.get(name)
+            if want is None:
+                want = depths[name] = STACK_ALL if depth is None else depth(name)
+            texts = []
+            pending = (lineno, line, groups, texts)
+            if want == STACK_ALL:
+                build_all = texts
+            elif want:
+                build_leaf = texts
+        elif build_all is not None:  # a frame line of a block that builds all
             if line not in frames:
                 m = _FRAME_RE.match(line)
                 if m is None:
                     fail(MalformedLine(lineno, line, "unrecognized stack frame"))
                     continue
                 frames[line] = _frame_from_match(m, names)
+            build_all.append(line)
+        elif build_leaf is not None:  # the leaf of a block that builds it alone
+            # a branch of its own, so that the one above, taken by every
+            # frame line a block builds whole, tests nothing more per line
+            if line not in frames:
+                m = _FRAME_RE.match(line)
+                if m is None:
+                    fail(MalformedLine(lineno, line, "unrecognized stack frame"))
+                    continue
+                frames[line] = _frame_from_match(m, names)
+            build_leaf.append(line)
+            build_leaf = None
+        else:  # a frame line no block builds, checked all the same
+            if line not in checked and line not in frames:
+                if _FRAME_RE.match(line) is None:
+                    fail(MalformedLine(lineno, line, "unrecognized stack frame"))
+                    continue
+                if len(checked) >= checked_lines:
+                    checked.clear()
+                checked.add(line)
             if pending is None:
                 fail(MalformedLine(lineno, line, "stack frame outside a sample block"))
-                continue
-            pending[3].append(line)
     event = flush()
     if event is not None:
         yield event

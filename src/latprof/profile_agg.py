@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .trace_model import STACK_LEAF, STACK_NONE
+
 UNKNOWN = "[unknown]"
 
 
@@ -53,6 +55,12 @@ class FlatProfile:
         self._dso = "dso" in group_by
         self._symbol = "symbol" in group_by
         self._tally = {}  # key -> [samples, weight]
+
+    @staticmethod
+    def stack_depth(event_class, event_name) -> int:
+        """What `add` reads of an event's stack: the leaf of a cpu-clock
+        sample's, nothing of others'."""
+        return STACK_LEAF if event_class == "cpu-clock" else STACK_NONE
 
     def add(self, ev) -> None:
         if ev.event_class != "cpu-clock":

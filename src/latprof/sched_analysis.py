@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .trace_model import WaitReason, stack_signature
+from .trace_model import STACK_ALL, STACK_NONE, WaitReason, stack_signature
 
 DEFAULT_LOCK_SYMBOLS = frozenset(
     {
@@ -220,6 +220,14 @@ class SchedWalk:
         if comm:
             t.comm = comm
         return t
+
+    @staticmethod
+    def stack_depth(event_class, event_name) -> int:
+        """What `add` reads of an event's stack: all of a sched_switch's
+        (to classify and sign the wait it opens), nothing of others'."""
+        if event_class == "sched" and event_name == "sched_switch":
+            return STACK_ALL
+        return STACK_NONE
 
     def add(self, ev) -> None:
         ts = ev.ts

@@ -42,10 +42,19 @@ def classify_event(event_name: str) -> str:
 
 
 @functools.lru_cache(maxsize=1024)
-def _event_parts(event: str) -> tuple:
+def event_parts(event: str) -> tuple:
     """(class, short name) of a qualified event name.  Cached, so that the
     events of one name share both strings instead of each holding copies."""
     return classify_event(event), event.split(":", 1)[-1]
+
+
+# How much of an event's stack a reader reads, least first: no frame, the
+# leaf frame only, or every frame.  A fold's `stack_depth(event_class,
+# event_name)` says which its `add` reads of the events of that class and
+# short name; `parsers.perf_events` builds no more than that.
+STACK_NONE = 0
+STACK_LEAF = 1
+STACK_ALL = 2
 
 
 def parse_ns(text: str) -> int:
@@ -119,7 +128,7 @@ class TraceEvent:
             raise ValueError(f"cpu must be non-negative, got {self.cpu}")
         if self.ts < 0:
             raise ValueError(f"timestamp must be non-negative, got {self.ts}")
-        self.event_class, self.event_name = _event_parts(self.event)
+        self.event_class, self.event_name = event_parts(self.event)
 
     def leaf(self) -> Frame | None:
         return self.stack[0] if self.stack else None

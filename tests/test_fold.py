@@ -9,15 +9,17 @@ import hashlib
 import io
 import tracemalloc
 import unittest.mock
+import weakref
 
 import pytest
 
-from latprof import export
+from latprof import export, parsers, sched_analysis
 from latprof.cli import main
 from latprof.export import PerfScriptWriter
 from latprof.simgen import simulate
 
 from folds import written
+from sampled_trace import sampled_trace
 from test_cli import PERF_TRACE
 from test_simgen import GOLDEN_RUNS, small_cfg
 
@@ -53,6 +55,25 @@ FOLD_INPUTS = {
         "gzip 100/100 [000] 10.300000: block:block_rq_issue: dev=8\n\n"
         "scp 200/200 [001] 10.300000: cpu-clock: \n\t500000 aes (libcrypto.so)\n\n"
         "gzip 100/100 [000] 10.400000: syscalls:sys_exit_read: ret=0\n"],
+    # malformed frame lines in blocks whose stacks a verb may not build:
+    # a sample's (first as its leaf, then as a caller), a syscall's and a
+    # switch's, and one valid caller line in every kind of block
+    "unread-frames": [
+        "gzip 100/100 [000] 10.000000: cpu-clock: \n"
+        "\t zz not a leaf\n\t400000 deflate+0x10 (libz.so)\n\t400040 main (gzip)\n\n"
+        "gzip 100/100 [000] 10.100000: syscalls:sys_enter_read: fd=3\n"
+        "\t700000 read (libc.so)\n\t400040 main (gzip)\n\t(no address)\n\n"
+        "gzip 100/100 [000] 10.200000: cpu-clock: \n"
+        "\t400000 deflate+0x10 (libz.so)\n\t400040 main (gzip\n\t400040 main (gzip)\n\n"
+        "gzip 100/100 [000] 10.300000: sched:sched_switch: prev_comm=gzip prev_pid=100 "
+        "prev_prio=120 prev_state=S ==> next_comm=swapper next_pid=0 next_prio=120\n"
+        "\t600000 futex_wait ([kernel.kallsyms])\n\tzz main (gzip)\n\t400040 main (gzip)\n\n"
+        "scp 200/200 [001] 10.400000: sched:sched_wakeup: comm=gzip pid=100 prio=120\n"
+        "\t400040 main (gzip)\n\n"
+        "gzip 100/100 [000] 10.500000: sched:sched_switch: prev_comm=swapper prev_pid=0 "
+        "prev_prio=120 prev_state=R ==> next_comm=gzip next_pid=100 next_prio=120\n\n"
+        "gzip 100/100 [000] 10.600000: syscalls:sys_exit_read: ret=0\n"
+        "\t400040 main (gzip)\n\t700000 read (libc.so)\n"],
 }
 
 _FOLD_VERBS = {"offcpu": ["offcpu"], "report": ["report"],
@@ -62,6 +83,8 @@ _FOLD_VERBS = {"offcpu": ["offcpu"], "report": ["report"],
 
 _NO_FORMAT = "latprof: error: empty-0.txt: cannot detect input format; use --format\n"
 _STRICT = "latprof: error: line 12: unrecognized event header: 'this is not a header'\n"
+_UNREAD = "unread-frames-0.txt: 4 malformed lines skipped\n"
+_UNREAD_STRICT = "latprof: error: line 2: unrecognized stack frame: '\\t zz not a leaf'\n"
 _BAD_INDEX_NAME = \
     "latprof: error: index name must match [a-z0-9_-]+, got 'Not An Index'\n"
 
@@ -174,6 +197,22 @@ FOLD_OUTPUTS = {
     "samples-only-bad-index": {
         "bulk": (1, "e3b0c44298fc1c14", _BAD_INDEX_NAME),
     },
+    "unread-frames": {
+        "bulk": (0, "14c53743374f2d76", _UNREAD),
+        "csv": (0, "2a7068f8d58fa9f2", _UNREAD),
+        "json": (0, "99545d46c8669ef7", _UNREAD),
+        "offcpu": (0, "59b02b20cc18f0a6", _UNREAD),
+        "parse": (0, "26f8d364211e44b3", _UNREAD),
+        "report": (0, "c55c5646cb76c027", _UNREAD),
+    },
+    "unread-frames-strict": {
+        "bulk": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+        "csv": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+        "json": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+        "offcpu": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+        "parse": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+        "report": (1, "e3b0c44298fc1c14", _UNREAD_STRICT),
+    },
 }
 
 _BAD_INDEX = ["--index", "Not An Index"]
@@ -186,6 +225,7 @@ _FOLD_VARIANTS = {
     "samples-only": [("", []), ("-bad-bin-width", ["--bin-width", "0"]),
                      ("-bad-index", _BAD_INDEX)],
     "no-sched-events": [("", []), ("-half-second-bins", ["--bin-width", "0.5"])],
+    "unread-frames": [("", []), ("-strict", ["--strict"])],
 }
 
 
@@ -285,6 +325,37 @@ def test_fallback_counts_each_inputs_malformed_lines_when_it_ends(
     assert got == FALLBACK_OUTPUTS
 
 
+def test_fallback_frees_the_streaming_pass_before_it_sorts(tmp_path, capsys, monkeypatch):
+    # the stream gives up at the backward step; the interns of what it
+    # parsed must be gone before the sort fallback parses every event again
+    path = tmp_path / "back.txt"
+    path.write_text(FOLD_INPUTS["backward-step"][0])
+    made = []  # a weak reference to each PerfInterns made
+    alive = []  # at each sort, which of them are alive
+    real_interns, real_sort = parsers.PerfInterns, sched_analysis.canonical_sort
+
+    def interns():
+        obj = real_interns()
+        made.append(weakref.ref(obj))
+        return obj
+
+    def canonical_sort(events):
+        alive.append([ref() is not None for ref in made])
+        return real_sort(events)
+
+    monkeypatch.setattr(parsers, "PerfInterns", interns)
+    monkeypatch.setattr(sched_analysis, "canonical_sort", canonical_sort)
+    for verb, argv in _FOLD_VERBS.items():
+        if verb == "parse":  # it never sorts
+            continue
+        made.clear()
+        alive.clear()
+        assert main(argv + ["--input", str(path)]) == 0, verb
+        # the sort is called before the fallback parses anything
+        assert alive == [[False]], verb
+    capsys.readouterr()
+
+
 def test_strict_error_in_a_later_input_writes_nothing(tmp_path, capsys, monkeypatch):
     # the second input's bad line is read after the first input's events
     # are written (parse) or folded (the rest); with blocks of two rows,
@@ -328,19 +399,44 @@ def _peak_mib(argv, path) -> float:
         tracemalloc.stop()
 
 
-def _growth(argv, paths) -> tuple:
-    _peak_mib(argv, paths[400])  # imports and first-call caches are not the trace's
-    return _peak_mib(argv, paths[400]), _peak_mib(argv, paths[1600])
+def _growth(argv, small, large, warm=None) -> tuple:
+    # imports and first-call caches are not the trace's
+    _peak_mib(argv, small if warm is None else warm)
+    return _peak_mib(argv, small), _peak_mib(argv, large)
 
 
 def test_offcpu_memory_does_not_grow_with_the_trace(sim_traces):
-    small, large = _growth(["offcpu"], sim_traces)
+    small, large = _growth(["offcpu"], sim_traces[400], sim_traces[1600])
     assert large / small < 1.5, (small, large)
 
 
 @pytest.mark.parametrize("verb", ["parse", "csv", "bulk"])
 def test_streaming_verb_memory_does_not_grow_with_the_trace(sim_traces, verb):
-    small, large = _growth(_FOLD_VERBS[verb], sim_traces)
+    small, large = _growth(_FOLD_VERBS[verb], sim_traces[400], sim_traces[1600])
+    assert large / small < 1.5, (small, large)
+
+
+@pytest.fixture(scope="module")
+def sampled_traces(tmp_path_factory):
+    """Three traces of a sampled program: a short one to warm up on, then
+    two, the second 4x as long, whose distinct caller frames grow with
+    their length.  The shorter of the two already has more distinct frame
+    lines than the parse remembers as checked."""
+    paths = []
+    for events in (50, 700, 2800):
+        paths.append(tmp_path_factory.mktemp("sampled") / f"sampled-{events}.txt")
+        paths[-1].write_text(sampled_trace(events))
+    frame_lines = {line for line in paths[1].read_text().splitlines()
+                   if line.startswith("\t")}
+    assert len(frame_lines) > parsers._CHECKED_LINES
+    return paths
+
+
+@pytest.mark.parametrize("verb", ["offcpu", "report", "csv"])
+def test_verb_memory_does_not_grow_with_a_sampled_trace(sampled_traces, verb):
+    # these verbs build the leaf of a sample at most, and check its callers
+    warm, small, large = sampled_traces
+    small, large = _growth(_FOLD_VERBS[verb], small, large, warm)
     assert large / small < 1.5, (small, large)
 
 

@@ -21,7 +21,7 @@ from latprof.parsers import (
     perf_events,
     sniff_format,
 )
-from latprof.trace_model import parse_ns
+from latprof.trace_model import STACK_ALL, STACK_LEAF, STACK_NONE, parse_ns
 
 import listings
 import perf_script_reference
@@ -157,15 +157,15 @@ def test_perf_script_shares_comm_and_event_names():
     assert fourth.comm == "other"
 
 
-def _perf_script_outcome(parse, source, strict):
+def _perf_script_outcome(parse, source, strict, **depth):
     """Events and errors of a lenient parse, or the first error of a strict
     one; `parse` is `perf_events` or a parser that returns a PerfParse."""
     errors = []
     try:
         if parse is perf_events:
-            events = list(perf_events(source, errors, strict))
+            events = list(perf_events(source, errors, strict, **depth))
         else:
-            res = parse(source, strict=strict)
+            res = parse(source, strict=strict, **depth)
             events, errors = res.events, res.errors
     except MalformedLine as err:
         return "raised", err.lineno, err.reason, err.line
@@ -203,10 +203,11 @@ def _perf_header(comms, ids, cpus, stamps, events, ws):
 
 _PERF_EVENTS = ["cpu-clock", "sched:sched_switch", "sched:sched_wakeup", "probe:a:b",
                 "syscalls:sys_enter_read"]
+_GOOD_PERF_HEADER = _perf_header(
+    ["app", "swapper/0", "a-b"], ["7/7", "7", "0/0", "12/34"], ["000", "3"],
+    ["1.5", "12.0000000019", "0.000000001", "٣.5"], _PERF_EVENTS, _PERF_WS)
 _PERF_HEADER = st.one_of(
-    _perf_header(["app", "swapper/0", "a-b"], ["7/7", "7", "0/0", "12/34"],
-                 ["000", "3"], ["1.5", "12.0000000019", "0.000000001", "٣.5"],
-                 _PERF_EVENTS, _PERF_WS),
+    _GOOD_PERF_HEADER,
     _perf_header(["app", "x y"], ["7/7", "²/1", "7/x"], ["000", "", "x"],
                  ["1.5", "1.", "1.5x"], _PERF_EVENTS + ["bad event"], _PERF_ANY_WS),
 )
@@ -220,16 +221,20 @@ def _perf_frame(addrs, syms, dsos):
     )
 
 
+_GOOD_PERF_FRAME = _perf_frame(["400000", "ffffffff8105e123", "400040"],
+                               ["main", "deflate+0x10", "[unknown]", "", "a b", "f+0xzz"],
+                               ["libc.so", "", "[kernel.kallsyms]"])
 _PERF_FRAME = st.one_of(
-    _perf_frame(["400000", "ffffffff8105e123", "400040"],
-                ["main", "deflate+0x10", "[unknown]", "", "a b", "f+0xzz"],
-                ["libc.so", "", "[kernel.kallsyms]"]),
+    _GOOD_PERF_FRAME,
     _perf_frame(["400000", "zz", ""], ["main"], ["libc.so", "a)b"]),
 )
-# a sample block (header and frames), or any single line
+# a sample block (header and frames), a well-formed one with a deep
+# stack, or any single line
 _PERF_LINES = st.one_of(
     st.builds(lambda header, frames: [header] + frames,
               _PERF_HEADER, st.lists(_PERF_FRAME, max_size=3)),
+    st.builds(lambda header, frames: [header] + frames,
+              _GOOD_PERF_HEADER, st.lists(_GOOD_PERF_FRAME, min_size=2, max_size=3)),
     st.one_of(
         _PERF_HEADER,
         _PERF_FRAME,
@@ -239,17 +244,52 @@ _PERF_LINES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_PERF_LINES, max_size=6), st.booleans())
-def test_perf_script_matches_reference_parser(groups, as_text):
+# `depth` arguments: none given, and each way of building part of a stack
+_DEPTHS = {
+    "default": {},
+    "all": {"depth": lambda event: STACK_ALL},
+    "leaf": {"depth": lambda event: STACK_LEAF},
+    "switch": {"depth": lambda event:
+               STACK_ALL if event == "sched:sched_switch" else STACK_NONE},
+    "none": {"depth": lambda event: STACK_NONE},
+}
+_FRAMES_KEPT = {STACK_ALL: None, STACK_LEAF: 1, STACK_NONE: 0}
+
+
+def _matches_reference_parser(groups, as_text, depth, repeat):
     # the interning parser gives the events, error lines and reasons of the
-    # line-at-a-time reference, in lenient mode and (first error) in strict mode
-    lines = [line for group in groups for line in group]
+    # line-at-a-time reference, in lenient mode and (first error) in strict
+    # mode, each stack cut to the depth asked for; repeating the lines
+    # repeats frame lines across blocks
+    lines = [line for group in groups for line in group] * (2 if repeat else 1)
     source = "\n".join(lines) if as_text else lines
     parse = parse_perf_script if as_text else perf_events
+    depth = _DEPTHS[depth]
     for strict in (False, True):
-        assert _perf_script_outcome(parse, source, strict) == \
-            _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
+        want = _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
+        if depth and want[0] != "raised":
+            for ev, _ in want[0]:
+                ev.stack = ev.stack[:_FRAMES_KEPT[depth["depth"](ev.event)]]
+        assert _perf_script_outcome(parse, source, strict, **depth) == want
+
+
+_REFERENCE_INPUTS = (st.lists(_PERF_LINES, max_size=6), st.booleans(),
+                     st.sampled_from(list(_DEPTHS)), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_REFERENCE_INPUTS)
+def test_perf_script_matches_reference_parser(groups, as_text, depth, repeat):
+    _matches_reference_parser(groups, as_text, depth, repeat)
+
+
+@settings(max_examples=50, deadline=None)
+@given(*_REFERENCE_INPUTS)
+def test_perf_script_matches_reference_parser_checking_every_line_again(
+        groups, as_text, depth, repeat):
+    # frame lines checked but not built are forgotten after each new one
+    with unittest.mock.patch.object(parsers, "_CHECKED_LINES", 1):
+        _matches_reference_parser(groups, as_text, depth, repeat)
 
 
 def test_perf_script_one_shot_iterator_matches_reference_parser():
