@@ -303,8 +303,7 @@ def cmd_parse(args) -> int:
                 # each input has its own interns, freed when it ends
                 errors = []
                 writer = export.PerfNdjsonWriter(spool.write)
-                _feed(parsers.perf_events(lines, errors, args.strict,
-                                          depth=_stack_depth([writer])), [writer])
+                _feed(parsers.perf_events(lines, errors, args.strict), [writer])
                 writer.flush()
                 _note_malformed(name, errors)
             elif fmt in _RECORD_FORMATS:

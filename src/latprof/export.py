@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .trace_model import NS_PER_MS, NS_PER_SEC, STACK_ALL, STACK_LEAF, STACK_NONE, \
-    format_ns
+from .trace_model import NS_PER_MS, NS_PER_SEC, STACK_LEAF, STACK_NONE, format_ns
 
 CSV_HEADER = ["timestamp", "comm", "pid", "tid", "cpu", "event", "dso", "symbol"]
 
@@ -157,11 +156,6 @@ class PerfNdjsonWriter(_RowWriter):
         super().__init__(write)
         self._q = _JsonText()
         self._encode = json.JSONEncoder(separators=(",", ":")).encode
-
-    @staticmethod
-    def stack_depth(event_class, event_name) -> int:
-        """What `add` reads of an event's stack: every frame, of every event."""
-        return STACK_ALL
 
     def add(self, ev) -> None:
         q = self._q

@@ -136,12 +136,11 @@ def _frame_from_match(m, names: dict) -> Frame:
     )
 
 
-def parse_perf_script(text: str, strict: bool = False, depth=None) -> PerfParse:
+def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
     """Parse perf-script text into TraceEvents (stacks attached leaf-first);
     see `perf_events` for the parse itself."""
     errors = []
-    return PerfParse(events=list(perf_events(text.splitlines(), errors, strict,
-                                             depth=depth)),
+    return PerfParse(events=list(perf_events(text.splitlines(), errors, strict)),
                      errors=errors)
 
 
@@ -179,9 +178,10 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
     checked_lines = _CHECKED_LINES
     depths = {}  # event name -> how much of its events' stacks to build
     pending = None  # (lineno, header line, header groups, built frame-line texts)
-    # the pending block's built frame-line texts: while it builds every
-    # frame, and until its leaf comes when it builds only that; else None
-    build_all = build_leaf = None
+    # the pending block's built frame-line texts while it builds frames:
+    # every one, or until its leaf comes when `leaf_only`; else None
+    build = None
+    leaf_only = False
 
     def fail(err: MalformedLine):
         if strict:
@@ -224,13 +224,13 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
 
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
-            build_all = build_leaf = None
+            build = None
             event = flush()
             if event is not None:
                 yield event
             continue
         if line[0] not in " \t":
-            build_all = build_leaf = None
+            build = None
             event = flush()
             if event is not None:
                 yield event
@@ -245,29 +245,18 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
                 want = depths[name] = STACK_ALL if depth is None else depth(name)
             texts = []
             pending = (lineno, line, groups, texts)
-            if want == STACK_ALL:
-                build_all = texts
-            elif want:
-                build_leaf = texts
-        elif build_all is not None:  # a frame line of a block that builds all
+            build = texts if want else None
+            leaf_only = want != STACK_ALL
+        elif build is not None:  # a frame line the pending block builds
             if line not in frames:
                 m = _FRAME_RE.match(line)
                 if m is None:
                     fail(MalformedLine(lineno, line, "unrecognized stack frame"))
                     continue
                 frames[line] = _frame_from_match(m, names)
-            build_all.append(line)
-        elif build_leaf is not None:  # the leaf of a block that builds it alone
-            # a branch of its own, so that the one above, taken by every
-            # frame line a block builds whole, tests nothing more per line
-            if line not in frames:
-                m = _FRAME_RE.match(line)
-                if m is None:
-                    fail(MalformedLine(lineno, line, "unrecognized stack frame"))
-                    continue
-                frames[line] = _frame_from_match(m, names)
-            build_leaf.append(line)
-            build_leaf = None
+            build.append(line)
+            if leaf_only:
+                build = None
         else:  # a frame line no block builds, checked all the same
             if line not in checked and line not in frames:
                 if _FRAME_RE.match(line) is None:

@@ -157,15 +157,16 @@ def test_perf_script_shares_comm_and_event_names():
     assert fourth.comm == "other"
 
 
-def _perf_script_outcome(parse, source, strict, **depth):
+def _perf_script_outcome(parse, source, strict, depth=None):
     """Events and errors of a lenient parse, or the first error of a strict
-    one; `parse` is `perf_events` or a parser that returns a PerfParse."""
+    one; `parse` is `perf_events` (given `depth`) or a parser that returns
+    a PerfParse."""
     errors = []
     try:
         if parse is perf_events:
-            events = list(perf_events(source, errors, strict, **depth))
+            events = list(perf_events(source, errors, strict, depth=depth))
         else:
-            res = parse(source, strict=strict, **depth)
+            res = parse(source, strict=strict)
             events, errors = res.events, res.errors
     except MalformedLine as err:
         return "raised", err.lineno, err.reason, err.line
@@ -246,50 +247,39 @@ _PERF_LINES = st.one_of(
 
 # `depth` arguments: none given, and each way of building part of a stack
 _DEPTHS = {
-    "default": {},
-    "all": {"depth": lambda event: STACK_ALL},
-    "leaf": {"depth": lambda event: STACK_LEAF},
-    "switch": {"depth": lambda event:
-               STACK_ALL if event == "sched:sched_switch" else STACK_NONE},
-    "none": {"depth": lambda event: STACK_NONE},
+    "default": None,
+    "all": lambda event: STACK_ALL,
+    "leaf": lambda event: STACK_LEAF,
+    "switch": lambda event: STACK_ALL if event == "sched:sched_switch" else STACK_NONE,
+    "none": lambda event: STACK_NONE,
 }
 _FRAMES_KEPT = {STACK_ALL: None, STACK_LEAF: 1, STACK_NONE: 0}
 
 
-def _matches_reference_parser(groups, as_text, depth, repeat):
+# five depths, so each, the default among them, gets about 150 examples
+@settings(max_examples=750, deadline=None)
+@given(st.lists(_PERF_LINES, max_size=6), st.booleans(), st.sampled_from(list(_DEPTHS)),
+       st.booleans(), st.sampled_from([1, parsers._CHECKED_LINES]))
+def test_perf_script_matches_reference_parser(groups, as_text, depth, repeat, checked):
     # the interning parser gives the events, error lines and reasons of the
     # line-at-a-time reference, in lenient mode and (first error) in strict
     # mode, each stack cut to the depth asked for; repeating the lines
-    # repeats frame lines across blocks
+    # repeats frame lines across blocks, and a bound of 1 forgets each line
+    # checked but not built as soon as another is
     lines = [line for group in groups for line in group] * (2 if repeat else 1)
     source = "\n".join(lines) if as_text else lines
-    parse = parse_perf_script if as_text else perf_events
     depth = _DEPTHS[depth]
+    if depth is None and as_text:
+        parse, parsed = parse_perf_script, source
+    else:
+        parse, parsed = perf_events, source.splitlines() if as_text else source
     for strict in (False, True):
         want = _perf_script_outcome(perf_script_reference.parse_perf_script, source, strict)
-        if depth and want[0] != "raised":
+        if depth is not None and want[0] != "raised":
             for ev, _ in want[0]:
-                ev.stack = ev.stack[:_FRAMES_KEPT[depth["depth"](ev.event)]]
-        assert _perf_script_outcome(parse, source, strict, **depth) == want
-
-
-_REFERENCE_INPUTS = (st.lists(_PERF_LINES, max_size=6), st.booleans(),
-                     st.sampled_from(list(_DEPTHS)), st.booleans())
-
-
-@settings(max_examples=150, deadline=None)
-@given(*_REFERENCE_INPUTS)
-def test_perf_script_matches_reference_parser(groups, as_text, depth, repeat):
-    _matches_reference_parser(groups, as_text, depth, repeat)
-
-
-@settings(max_examples=50, deadline=None)
-@given(*_REFERENCE_INPUTS)
-def test_perf_script_matches_reference_parser_checking_every_line_again(
-        groups, as_text, depth, repeat):
-    # frame lines checked but not built are forgotten after each new one
-    with unittest.mock.patch.object(parsers, "_CHECKED_LINES", 1):
-        _matches_reference_parser(groups, as_text, depth, repeat)
+                ev.stack = ev.stack[:_FRAMES_KEPT[depth(ev.event)]]
+        with unittest.mock.patch.object(parsers, "_CHECKED_LINES", checked):
+            assert _perf_script_outcome(parse, parsed, strict, depth) == want
 
 
 def test_perf_script_one_shot_iterator_matches_reference_parser():
