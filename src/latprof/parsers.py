@@ -78,6 +78,13 @@ _FRAME_RE = re.compile(
     r"\((?P<dso>[^)]*)\)\s*$"
 )
 
+# The check of a frame line no block builds: `_FRAME_RE` without its
+# groups.  It accepts exactly `_FRAME_RE`'s lines, embedded line breaks
+# too: the symbol's `.*?` can take in any "+0x..." text, so the optional
+# offset group never decides whether a line matches, and `\s*` before `$`
+# takes in the final line break that `$` would otherwise stop before.
+_FRAME_CHECK_RE = re.compile(r"\s+[0-9a-fA-F]+\s+.*?\s+\([^)]*\)\s*")
+
 # A key=value payload: whitespace-separated tokens, each a key=value pair
 # or the "==>" separator.  `\s` matches exactly the characters str.split()
 # splits on, so this accepts the payloads whose every token fits the
@@ -100,13 +107,15 @@ class PerfInterns:
     stored once.  One instance can serve several inputs of one run, so
     that their events share it too.
 
-    `frames` holds only the frame lines a parse built; `checked` holds
-    frame lines it checked against the grammar but did not build, so that
-    a recurring one is not matched again, and is cleared whenever it
-    reaches `_CHECKED_LINES` lines."""
+    `frames` holds only the frame lines a parse built; `stacks` is keyed
+    by the stack itself, the tuple of a block's interned frames, so that
+    a stack holds no line text; `checked` holds frame lines it checked
+    against the grammar but did not build, so that a recurring one is not
+    checked again, and is cleared whenever it reaches `_CHECKED_LINES`
+    lines."""
 
     frames: dict = field(default_factory=dict)  # frame-line text -> Frame
-    stacks: dict = field(default_factory=dict)  # a block's built frame-line texts -> stack
+    stacks: dict = field(default_factory=dict)  # stack -> the same stack
     payloads: dict = field(default_factory=dict)  # payload text -> shared args dict
     # comm, event name, frame symbol or dso text -> the one copy kept
     names: dict = field(default_factory=dict)
@@ -128,12 +137,10 @@ def _frame_from_match(m, names: dict) -> Frame:
     addr, sym, off, dso = m.groups()
     sym = sym.strip()
     dso = dso.strip()
-    return Frame(
-        address=int(addr, 16),
-        symbol=None if sym in ("", "[unknown]") else names.setdefault(sym, sym),
-        offset=int(off, 16) if off is not None else None,
-        dso=names.setdefault(dso, dso) if dso else None,
-    )
+    return Frame(int(addr, 16),
+                 None if sym in ("", "[unknown]") else names.setdefault(sym, sym),
+                 int(off, 16) if off is not None else None,
+                 names.setdefault(dso, dso) if dso else None)
 
 
 def parse_perf_script(text: str, strict: bool = False) -> PerfParse:
@@ -176,10 +183,11 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
     names = interns.names
     checked = interns.checked
     checked_lines = _CHECKED_LINES
+    check_frame = _FRAME_CHECK_RE.fullmatch
     depths = {}  # event name -> how much of its events' stacks to build
-    pending = None  # (lineno, header line, header groups, built frame-line texts)
-    # the pending block's built frame-line texts while it builds frames:
-    # every one, or until its leaf comes when `leaf_only`; else None
+    pending = None  # (lineno, header line, header groups, built frames)
+    # the pending block's built frames while it builds frames: every one,
+    # or until its leaf comes when `leaf_only`; else None
     build = None
     leaf_only = False
 
@@ -193,13 +201,11 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
         nonlocal pending
         if pending is None:
             return None
-        lineno, line, groups, texts = pending
+        lineno, line, groups, built = pending
         pending = None
         comm, pid, tid, cpu, ts, period, event, payload = groups
-        texts = tuple(texts)
-        stack = stacks.get(texts)
-        if stack is None:
-            stack = stacks[texts] = tuple(frames[text] for text in texts)
+        built = tuple(built)
+        stack = stacks.setdefault(built, built)
         args = payloads.get(payload)
         if args is None:
             args = payloads[payload] = _parse_payload(payload)
@@ -243,23 +249,24 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
             want = depths.get(name)
             if want is None:
                 want = depths[name] = STACK_ALL if depth is None else depth(name)
-            texts = []
-            pending = (lineno, line, groups, texts)
-            build = texts if want else None
+            built = []
+            pending = (lineno, line, groups, built)
+            build = built if want else None
             leaf_only = want != STACK_ALL
         elif build is not None:  # a frame line the pending block builds
-            if line not in frames:
+            frame = frames.get(line)
+            if frame is None:
                 m = _FRAME_RE.match(line)
                 if m is None:
                     fail(MalformedLine(lineno, line, "unrecognized stack frame"))
                     continue
-                frames[line] = _frame_from_match(m, names)
-            build.append(line)
+                frame = frames[line] = _frame_from_match(m, names)
+            build.append(frame)
             if leaf_only:
                 build = None
         else:  # a frame line no block builds, checked all the same
             if line not in checked and line not in frames:
-                if _FRAME_RE.match(line) is None:
+                if check_frame(line) is None:
                     fail(MalformedLine(lineno, line, "unrecognized stack frame"))
                     continue
                 if len(checked) >= checked_lines:

@@ -12,6 +12,7 @@ floating-point drift; `parse_ns` and `format_ns` convert decimal
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 from dataclasses import dataclass, field
@@ -76,18 +77,20 @@ def format_ns(ns: int) -> str:
     return f"{whole}.{rem:09d}"
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """One call-stack frame: code address, symbol, offset, and image."""
+class Frame(collections.namedtuple("Frame", "address symbol offset dso")):
+    """One call-stack frame: code address, symbol, offset and image (dso),
+    each None when absent.
 
-    address: int | None = None
-    symbol: str | None = None
-    offset: int | None = None
-    dso: str | None = None
+    An immutable named tuple, so that it is cheap to build and is hashed
+    and compared in C; it equals a plain tuple of the same four values."""
 
-    def __post_init__(self) -> None:
-        if self.symbol is None and self.address is None:
+    __slots__ = ()
+
+    def __new__(cls, address: int | None = None, symbol: str | None = None,
+                offset: int | None = None, dso: str | None = None) -> Frame:
+        if symbol is None and address is None:
             raise ValueError("frame needs a symbol or an address")
+        return tuple.__new__(cls, (address, symbol, offset, dso))
 
     def display_symbol(self) -> str:
         if self.symbol is not None:

@@ -3,7 +3,7 @@ import unittest.mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latprof import cli, parsers
@@ -134,11 +134,17 @@ def test_perf_script_interns_frames_and_stacks(monkeypatch):
         + "\napp 7/7 [000] 2.0: sched:sched_switch: prev_pid=7 prev_state=S\n" + block
         + "\napp 7/7 [000] 3.0: cpu-clock: \n\t600040 main (app)\n"
     )
-    first, second, sample = parse_perf_script(text).events
+    interns = parsers.PerfInterns()
+    first, second, sample = perf_events(text.splitlines(), [], interns=interns)
     assert first.stack == second.stack and first.stack is second.stack
     assert sample.stack[0] is first.stack[1]
     assert first.args == second.args and first.args is second.args
     assert sorted(built) == sorted(set(block.splitlines()))
+    # the stacks intern is keyed by the stacks themselves: no line text
+    assert list(interns.stacks) == [first.stack, sample.stack]
+    for key, stack in interns.stacks.items():
+        assert key is stack
+        assert not any(isinstance(item, str) for item in key)
 
 
 def test_perf_script_shares_comm_and_event_names():
@@ -280,6 +286,45 @@ def test_perf_script_matches_reference_parser(groups, as_text, depth, repeat, ch
                 ev.stack = ev.stack[:_FRAMES_KEPT[depth(ev.event)]]
         with unittest.mock.patch.object(parsers, "_CHECKED_LINES", checked):
             assert _perf_script_outcome(parse, parsed, strict, depth) == want
+
+
+# every character `\s` matches that a frame line might hold, a line break
+# among them, and none
+_FRAME_WS = st.sampled_from(
+    [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\n", ""])
+_FRAME_WS_RUN = st.lists(_FRAME_WS, max_size=3).map("".join)
+_FRAME_LIKE_LINE = st.builds(
+    lambda lead, addr, gap, sym, off, before, open_, dso, close, tail:
+        f"{lead}{addr}{gap}{sym}{off}{before}{open_}{dso}{close}{tail}",
+    _FRAME_WS_RUN,
+    st.text(alphabet="0123456789abcdefABCDEFxgG", max_size=6),
+    _FRAME_WS_RUN,
+    st.one_of(st.sampled_from(["", "main", "[unknown]", "f+0x", "a b", "a(b)", "a)b", "("]),
+              st.text(alphabet="ab+0x() \t\n", max_size=6)),
+    st.sampled_from(["", "+0x", "+0x1f", "+0xAB", "+0xzz", "+0x(", "+"]),
+    _FRAME_WS_RUN,
+    st.sampled_from(["(", "", ")"]),
+    st.one_of(st.sampled_from(["", "libc.so", "[kernel.kallsyms]", "a(b", "a)b", "a b"]),
+              st.text(alphabet="ab() \n", max_size=4)),
+    st.sampled_from([")", "", "("]),
+    _FRAME_WS_RUN,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_FRAME_LIKE_LINE, st.text(alphabet=" \t\n\x85\u3000()+0xaF1z", max_size=24)))
+@example("\t400000\n\nmain (app)")  # a line break inside a run of spaces
+@example("\t400000 main\n\n(app)")
+@example("\t400000 ma\nin (app)")  # a line break inside the symbol
+@example("\t400000 main (app)\n")  # a final line break
+@example("\t400000 main (app)\nx")
+@example("\t400000 (app)")  # one space before "(": no symbol, no gap
+@example("\t400000  (app)")  # an empty symbol
+@example("\t400000 main+0x (app)")
+@example("\t400000 f(x) (a(b))")
+def test_frame_check_accepts_exactly_the_frame_grammars_lines(line):
+    assert (parsers._FRAME_CHECK_RE.fullmatch(line) is None) == \
+        (parsers._FRAME_RE.match(line) is None)
 
 
 def test_perf_script_one_shot_iterator_matches_reference_parser():

@@ -83,8 +83,34 @@ def test_timestamp_roundtrip_full_precision():
 def test_frame_requires_symbol_or_address():
     Frame(address=0x1000)
     Frame(symbol="main")
-    with pytest.raises(ValueError):
-        Frame(dso="libc.so")
+    Frame(0, None, 0, "libc.so")
+    for args, kwargs in (((), {}), ((), {"dso": "x"}), ((None, None, 0x10, "x"), {})):
+        with pytest.raises(ValueError, match="frame needs a symbol or an address"):
+            Frame(*args, **kwargs)
+
+
+def test_frame_is_an_immutable_named_tuple():
+    frame = Frame(address=0x400000, symbol="main", offset=0x10, dso="app")
+    positional = Frame(0x400000, "main", 0x10, "app")
+    assert frame == positional and hash(frame) == hash(positional)
+    assert frame == (0x400000, "main", 0x10, "app")
+    assert hash(frame) == hash((0x400000, "main", 0x10, "app"))
+    assert frame != Frame(0x400000, "main", 0x11, "app")
+    assert (frame.address, frame.symbol, frame.offset, frame.dso) == tuple(frame)
+    assert Frame(symbol="main") == (None, "main", None, None)
+    assert repr(frame) == "Frame(address=4194304, symbol='main', offset=16, dso='app')"
+    for name in ("address", "symbol", "offset", "dso", "other"):
+        with pytest.raises(AttributeError):
+            setattr(frame, name, 1)
+    assert frame == (0x400000, "main", 0x10, "app")
+
+
+def test_frame_display_symbol():
+    assert Frame(0x1F, "main").display_symbol() == "main"
+    assert Frame(symbol="main", dso="app").display_symbol() == "main"
+    assert Frame(address=0x1F, dso="app").display_symbol() == "0x1f"
+    assert Frame(address=0).display_symbol() == "0x0"
+    assert Frame(0x1F, "").display_symbol() == ""
 
 
 def test_event_derives_class_and_name():
