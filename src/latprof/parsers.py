@@ -197,10 +197,9 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
         errors.append(err)
 
     def flush():
-        """The pending block's event, or None when there is none."""
+        """The pending block's event, or None when it is malformed; there
+        must be a pending block."""
         nonlocal pending
-        if pending is None:
-            return None
         lineno, line, groups, built = pending
         pending = None
         comm, pid, tid, cpu, ts, period, event, payload = groups
@@ -213,16 +212,17 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
         try:
             # int() raises ValueError past the interpreter's digit limit
             pid = int(pid)
+            # positional arguments: a keyword call costs 1.6-2x as much
             return TraceEvent(
-                comm=names.setdefault(comm, comm),
-                pid=pid,
-                tid=int(tid) if tid is not None else pid,
-                cpu=int(cpu),
-                ts=int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
-                event=names.setdefault(event, event),
-                args=args,
-                period=int(period or 1),
-                stack=stack,
+                names.setdefault(comm, comm),
+                pid,
+                int(tid) if tid is not None else pid,
+                int(cpu),
+                int(whole) * NS_PER_SEC + int(frac[:9].ljust(9, "0")),
+                names.setdefault(event, event),
+                args,
+                int(period or 1),
+                stack,
             )
         except ValueError as exc:
             fail(MalformedLine(lineno, line, str(exc)))
@@ -231,15 +231,17 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
             build = None
-            event = flush()
-            if event is not None:
-                yield event
+            if pending is not None:
+                event = flush()
+                if event is not None:
+                    yield event
             continue
         if line[0] not in " \t":
             build = None
-            event = flush()
-            if event is not None:
-                yield event
+            if pending is not None:
+                event = flush()
+                if event is not None:
+                    yield event
             m = _PERF_HEADER_RE.match(line)
             if m is None:
                 fail(MalformedLine(lineno, line, "unrecognized event header"))
@@ -274,9 +276,10 @@ def perf_events(lines, errors: list, strict: bool = False, interns=None, depth=N
                 checked.add(line)
             if pending is None:
                 fail(MalformedLine(lineno, line, "stack frame outside a sample block"))
-    event = flush()
-    if event is not None:
-        yield event
+    if pending is not None:
+        event = flush()
+        if event is not None:
+            yield event
 
 
 # ---------------------------------------------------------------------------

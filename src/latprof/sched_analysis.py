@@ -32,6 +32,15 @@ approximation: every syscall, block and network event has kind rank 1
 and every sched_switch rank 2 or 3, so all such events at or before the
 switch's instant have been seen when the switch is processed, and none
 after it have.
+
+The walk reads each distinct args dict and stack once: it decodes a
+sched_switch or sched_wakeup* payload, and tests a stack for a lock
+symbol, the first time it meets that object, and reuses the answer for
+every event that shares it (the parser and the simulator share one dict
+per distinct payload and one tuple per distinct stack).  So treating
+events' args and stacks as read-only is load-bearing here.  The caches
+are keyed by identity, keep the objects they answer for, and are cleared
+at a fixed size, so no answer depends on them.
 """
 
 from __future__ import annotations
@@ -89,7 +98,7 @@ def _kind_rank(event) -> int:
     if name.startswith("sched_wakeup") or name == "sched_waking":
         return 0
     if name == "sched_switch":
-        if (_int_arg(event, "next_pid") or 0) > 0:
+        if _pid_arg(event.args, "next_pid"):
             return 2  # switches a thread in
         return 3  # pure switch-out (to idle)
     return 1
@@ -144,14 +153,27 @@ def canonical_stream(inputs):
     yield from group
 
 
-def _int_arg(event, key) -> int | None:
-    """The payload value under `key` as an int; None for a non-number,
+def _pid_arg(args: dict, key: str) -> int:
+    """The payload value under `key` as a pid; 0 for a non-number,
     including a run of digits longer than `int()` accepts."""
-    value = event.args.get(key, "")
+    value = args.get(key, "")
     try:
-        return int(value) if value.isdecimal() else None
+        return int(value) if value.isdecimal() else 0
     except ValueError:  # past the int-string digit limit
-        return None
+        return 0
+
+
+# `SchedWalk`'s payload and stack caches and `WaitSummary._signatures` are
+# each cleared when they hold this many entries: an object met again after
+# that costs one more decode, never a different answer
+_CACHED_OBJECTS = 1 << 11
+
+
+def _bounded(cache: dict) -> dict:
+    """`cache`, emptied first if it holds `_CACHED_OBJECTS` entries."""
+    if len(cache) >= _CACHED_OBJECTS:
+        cache.clear()
+    return cache
 
 
 class _ThreadMachine:
@@ -211,6 +233,12 @@ class SchedWalk:
         self.origin = None  # ns
         self.end = None  # ns
         self.saw_sched = False
+        # id(args) -> decoded sched_switch or sched_wakeup* payload, and
+        # id(stack) -> whether it has a lock symbol; each entry keeps the
+        # object it was read from, so that its id is not reused
+        self._switches = {}
+        self._wakeups = {}
+        self._locked = {}
 
     def _thread(self, tid: int, comm: str) -> _ThreadMachine:
         """tid's record, made on first sight; a non-empty comm is kept."""
@@ -252,47 +280,86 @@ class SchedWalk:
         self.saw_sched = True
         name = ev.event_name
         if name == "sched_switch":
-            prev = _int_arg(ev, "prev_pid")
-            nxt = _int_arg(ev, "next_pid")
-            if prev is not None and prev > 0:
-                t = self._thread(prev, ev.args.get("prev_comm", ""))
+            args = ev.args
+            switch = self._switches.get(id(args))
+            if switch is None:
+                switch = self._decode_switch(args)
+            _, prev, prev_comm, prev_state, token, nxt, next_comm = switch
+            if prev:
+                t = self._thread(prev, prev_comm)
                 if t.state in (ThreadState.RUNNING, ThreadState.UNKNOWN):
-                    prev_state = ev.args.get("prev_state")
-                    token = (prev_state or "").rstrip("+")
+                    stack = ev.stack
                     if token == "R":
-                        t.transition(ts, ThreadState.RUNNABLE, stack=ev.stack,
+                        t.transition(ts, ThreadState.RUNNABLE, stack=stack,
                                      reason=WaitReason.SCHEDULER_DELAY)
                     else:
                         if token not in _SLEEP_TOKENS:
                             self.anomalies += 1
+                        locked = self._locked.get(id(stack))
+                        if locked is None:
+                            locked = self._scan_stack(stack)
                         window = ts - self.config.lookback_ns
-                        reason = classify_wait(
+                        reason = _classify(
                             prev_state,
-                            ev.stack,
+                            locked[1],
                             t.syscall,
                             t.block_ns is not None and t.block_ns >= window,
                             t.net_ns is not None and t.net_ns >= window,
-                            self.config.lock_symbols,
                         )
-                        t.transition(ts, ThreadState.SLEEPING, stack=ev.stack,
+                        t.transition(ts, ThreadState.SLEEPING, stack=stack,
                                      reason=reason)
                 else:
                     self.anomalies += 1
-            if nxt is not None and nxt > 0:
-                t = self._thread(nxt, ev.args.get("next_comm", ""))
+            if nxt:
+                t = self._thread(nxt, next_comm)
                 if t.state in (ThreadState.RUNNABLE, ThreadState.UNKNOWN):
                     t.transition(ts, ThreadState.RUNNING)
                 else:
                     self.anomalies += 1
         elif name.startswith("sched_wakeup") or name == "sched_waking":
-            pid = _int_arg(ev, "pid")
-            if pid is not None and pid > 0:
-                t = self._thread(pid, ev.args.get("comm", ""))
+            args = ev.args
+            wakeup = self._wakeups.get(id(args))
+            if wakeup is None:
+                wakeup = self._decode_wakeup(args)
+            _, pid, comm = wakeup
+            if pid:
+                t = self._thread(pid, comm)
                 if t.state in (ThreadState.SLEEPING, ThreadState.UNKNOWN):
                     t.transition(ts, ThreadState.RUNNABLE,
                                  reason=WaitReason.SCHEDULER_DELAY)
                 elif t.state is ThreadState.RUNNING:
                     self.anomalies += 1
+
+    def _decode_switch(self, args: dict) -> tuple:
+        """A sched_switch payload's `(args, prev pid, prev comm, prev_state,
+        its token, next pid, next comm)`, cached by the dict's identity; a
+        pid that is missing, not decimal or not positive reads 0."""
+        switches = _bounded(self._switches)
+        prev_state = args.get("prev_state")
+        entry = switches[id(args)] = (
+            args,
+            _pid_arg(args, "prev_pid"),
+            args.get("prev_comm", ""),
+            prev_state,
+            (prev_state or "").rstrip("+"),
+            _pid_arg(args, "next_pid"),
+            args.get("next_comm", ""),
+        )
+        return entry
+
+    def _decode_wakeup(self, args: dict) -> tuple:
+        """A sched_wakeup* payload's `(args, pid, comm)`, cached as
+        `_decode_switch`'s are."""
+        entry = _bounded(self._wakeups)[id(args)] = (
+            args, _pid_arg(args, "pid"), args.get("comm", ""))
+        return entry
+
+    def _scan_stack(self, stack: tuple) -> tuple:
+        """`(stack, whether it has a lock symbol)`, cached by the stack's
+        identity."""
+        entry = _bounded(self._locked)[id(stack)] = (
+            stack, _has_lock_symbol(stack, self.config.lock_symbols))
+        return entry
 
     def finish(self) -> None:
         """Close every open interval at the last event's timestamp."""
@@ -307,9 +374,19 @@ class SchedWalk:
 def classify_wait(prev_state, stack, pending_syscall, has_block_event,
                   has_net_event, lock_symbols=DEFAULT_LOCK_SYMBOLS) -> WaitReason:
     """First matching rule wins: lock, block I/O, network, timer, unknown."""
-    if pending_syscall == "futex" or any(
-        f.symbol in lock_symbols for f in stack if f.symbol
-    ):
+    return _classify(prev_state, _has_lock_symbol(stack, lock_symbols),
+                     pending_syscall, has_block_event, has_net_event)
+
+
+def _has_lock_symbol(stack, lock_symbols) -> bool:
+    """Whether a frame of `stack` names one of `lock_symbols`."""
+    return any(f.symbol in lock_symbols for f in stack if f.symbol)
+
+
+def _classify(prev_state, lock_frame, pending_syscall, has_block_event,
+              has_net_event) -> WaitReason:
+    """`classify_wait`'s rules, given whether the stack has a lock frame."""
+    if lock_frame or pending_syscall == "futex":
         return WaitReason.LOCK
     if (prev_state and "D" in prev_state) or pending_syscall in _BLOCK_SYSCALLS \
             or has_block_event:
@@ -342,8 +419,9 @@ class WaitSummary:
     by_tid_reason: dict = field(default_factory=dict)  # (tid, WaitReason) -> ns
     by_stack: dict = field(default_factory=dict)  # signature -> [ns, count]
     histogram: dict = field(default_factory=dict)  # bucket k -> count
-    # id(stack) -> (stack, its signature), worked out once per stack object;
-    # holding each stack keeps its id from being reused
+    # id(stack) -> (stack, its signature), worked out once per stack object
+    # and bounded as `SchedWalk`'s caches are; holding each stack keeps its
+    # id from being reused
     _signatures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, tid, start, end, state, stack, reason, truncated=False) -> None:
@@ -356,7 +434,8 @@ class WaitSummary:
         self.by_tid_reason[key] = self.by_tid_reason.get(key, 0) + ns
         cached = self._signatures.get(id(stack))
         if cached is None:
-            cached = self._signatures[id(stack)] = (stack, stack_signature(stack))
+            cached = _bounded(self._signatures)[id(stack)] = (
+                stack, stack_signature(stack))
         sig = cached[1]
         cur = self.by_stack.get(sig)
         if cur is None:

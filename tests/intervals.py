@@ -9,10 +9,12 @@ from latprof.sched_analysis import SchedWalk, canonical_sort
 Interval = namedtuple("Interval", "start end state stack reason truncated")
 
 
-def walk_intervals(events, config=None):
+def walk_intervals(events, config=None, ordered=False):
     """Walk `events` in canonical order and return the finished walk and
     {tid: [Interval]}, each tid's intervals in time order.  Every interval
-    also reaches `walk.summary`, as with the walk's default sink."""
+    also reaches `walk.summary`, as with the walk's default sink.  With
+    `ordered`, `events` is an iterable already in canonical order, read one
+    event at a time and not held."""
     by_tid = {}
 
     def collect(tid, start, end, state, stack, reason, truncated):
@@ -21,7 +23,7 @@ def walk_intervals(events, config=None):
         walk.summary.add(tid, start, end, state, stack, reason, truncated)
 
     walk = SchedWalk(config, collect)
-    for ev in canonical_sort(events):
+    for ev in events if ordered else canonical_sort(events):
         walk.add(ev)
     walk.finish()
     return walk, by_tid

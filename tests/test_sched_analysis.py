@@ -1,6 +1,12 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latprof import sched_analysis
+from latprof.parsers import perf_events
 from latprof.sched_analysis import (
+    DEFAULT_LOCK_SYMBOLS,
     AnalysisConfig,
     ThreadState,
     WaitSummary,
@@ -329,6 +335,173 @@ def test_wait_reasons_match_brute_force_reference():
                                                       lookback_ns)
                 checked += 1
     assert checked > 1000
+
+
+_SHARED_STACKS = (
+    (),
+    (Frame(0x400000, "sem_wait", 0x10, "libc.so"), Frame(0x400100, "main", None, "app")),
+    (Frame(0x400200, "pthread_mutex_lock", None, "libc.so"),),
+    (Frame(0x400300, "main", None, "app"),),
+    (Frame(0x400400, None, None, None),),
+    (Frame(0x400500, "my_lock", None, "app"), Frame(0x400300, "main", None, "app")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+           st.sampled_from(["S", "D", "D+", "S+", "R", "R+", "I", "X", "W", "DK", "",
+                            None]),
+           st.sampled_from(range(len(_SHARED_STACKS))),
+           st.sampled_from([None, "futex", "read", "recvmsg", "poll", "nanosleep",
+                            "getpid"]),
+           st.sampled_from([None, 0, 10**6, 10**6 + 1]),
+           st.sampled_from([None, 0, 10**6, 10**6 + 1])),
+       min_size=1, max_size=8),
+       st.sampled_from([DEFAULT_LOCK_SYMBOLS, frozenset({"main", "my_lock"}),
+                        frozenset()]))
+def test_walk_records_the_reason_classify_wait_gives(cases, lock_symbols):
+    """Each switch-out's recorded reason is classify_wait's for its
+    prev_state, stack, pending syscall and block/net flags.  tid 1 leaves
+    the cpu once per case, through switch payloads and stacks shared
+    between cases, so the walk's caches are read again."""
+    switch_out = {}  # prev_state -> the one args dict of its switch-outs
+    switch_in = {"prev_pid": "0", "prev_state": "R", "next_pid": "1"}
+    wake = {"comm": "t", "pid": "1"}
+    events = []
+    expected = []
+    for i, (prev_state, stack_index, pending, block_age, net_age) in enumerate(cases):
+        base = i * 10**7
+        out_ns = base + 5 * 10**6
+        events.append(TraceEvent("w", 9, 9, 0, base + 10**6, "sched:sched_wakeup",
+                                 wake))
+        events.append(TraceEvent("t", 0, 0, 0, base + 2 * 10**6,
+                                 "sched:sched_switch", switch_in))
+        kind = "exit_read" if pending is None else f"enter_{pending}"
+        events.append(TraceEvent("t", 1, 1, 0, base + 3 * 10**6,
+                                 f"syscalls:sys_{kind}"))
+        for age, event in ((block_age, "block:block_rq_issue"),
+                           (net_age, "net:net_dev_xmit")):
+            if age is not None:
+                events.append(TraceEvent("t", 1, 1, 0, out_ns - age, event))
+        args = switch_out.get(prev_state)
+        if args is None:
+            args = switch_out[prev_state] = {"prev_pid": "1", "next_pid": "0"}
+            if prev_state is not None:
+                args["prev_state"] = prev_state
+        stack = _SHARED_STACKS[stack_index]
+        events.append(TraceEvent("t", 1, 1, 0, out_ns, "sched:sched_switch", args,
+                                 1, stack))
+        if (prev_state or "").rstrip("+") == "R":
+            expected.append(WaitReason.SCHEDULER_DELAY)
+        else:
+            expected.append(classify_wait(
+                prev_state, stack, pending,
+                block_age is not None and block_age <= 10**6,
+                net_age is not None and net_age <= 10**6,
+                lock_symbols))
+    _, by_tid = walk_intervals(events, AnalysisConfig(lock_symbols=lock_symbols))
+    recorded = [iv.reason for iv in by_tid[1]
+                if iv.start % 10**7 == 5 * 10**6]
+    assert recorded == expected
+
+
+# every sched payload shape the walk decodes: R+, an unknown prev_state
+# token, a missing or non-decimal pid, pid 0
+_SWITCH_PAYLOADS = [
+    f"prev_comm=t{a} prev_pid={a} prev_prio=120 prev_state={state} ==> "
+    f"next_comm=t{b} next_pid={b} next_prio=120"
+    for a in range(4) for b in range(4) for state in ("S", "D", "R", "R+", "W")
+] + [
+    "prev_comm=t1 prev_state=S ==> next_comm=t2 next_pid=2",
+    "prev_comm=t1 prev_pid=x1 prev_state=S ==> next_comm=t2 next_pid=2",
+    "prev_comm=t3 prev_pid=3 prev_state=D ==> next_comm=t2 next_pid=2x",
+    "prev_comm=t2 prev_pid=2 ==> next_comm=t1 next_pid=1",
+]
+_WAKEUP_PAYLOADS = [f"comm=t{a} pid={a} prio=120 target_cpu=000" for a in range(4)] + [
+    "comm=t1 prio=120 target_cpu=000",
+    "comm=t2 pid=-2 prio=120 target_cpu=000",
+]
+_STACK_LINES = [
+    [],
+    ["\t400000 sem_wait+0x10 (libc.so)", "\t400100 main (app)"],
+    ["\t400200 pthread_mutex_lock (libc.so)"],
+    ["\t400300 main (app)"],
+    ["\t400400 [unknown] ([unknown])"],
+]
+
+
+def _trace_sharing_payloads_and_stacks(seed):
+    """Perf-script text whose sched events draw from a few payloads and
+    stacks.  It opens with a thread that is woken while it runs."""
+    rng = random.Random(seed)
+    blocks = [
+        ("sched:sched_switch", _SWITCH_PAYLOADS[1], []),  # t0 -> t1 runs
+        ("sched:sched_wakeup", _WAKEUP_PAYLOADS[1], []),  # wakes a running t1
+    ]
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.55:
+            blocks.append(("sched:sched_switch", rng.choice(_SWITCH_PAYLOADS),
+                           rng.choice(_STACK_LINES)))
+        elif roll < 0.85:
+            blocks.append(("sched:sched_wakeup", rng.choice(_WAKEUP_PAYLOADS), []))
+        else:
+            blocks.append((rng.choice(["syscalls:sys_enter_futex",
+                                       "syscalls:sys_exit_futex",
+                                       "block:block_rq_issue"]), "", []))
+    lines = []
+    ns = 10**9
+    for event, payload, frames in blocks:
+        ns += rng.choice([0, 1000, 500_000, 2_000_000])
+        tid = rng.randint(1, 3)
+        lines.append(f"t{tid} {tid}/{tid} [000] {ns // 10**9}.{ns % 10**9:09d}: "
+                     f"{event}: {payload}")
+        lines.extend(frames)
+        lines.append("")
+    return lines
+
+
+def _fresh_copy(ev):
+    """`ev` with an args dict and a stack tuple of its own."""
+    return TraceEvent(ev.comm, ev.pid, ev.tid, ev.cpu, ev.ts, ev.event,
+                      dict(ev.args), ev.period, tuple([*ev.stack]))
+
+
+def _walk_outcome(events, config, ordered=False):
+    walk, by_tid = walk_intervals(events, config, ordered)
+    caches = (walk._switches, walk._wakeups, walk._locked, walk.summary._signatures)
+    assert max(map(len, caches)) <= sched_analysis._CACHED_OBJECTS
+    return by_tid, walk.summary, walk.anomalies, walk.comms()
+
+
+def test_walk_caches_change_no_answer(monkeypatch):
+    """Events that share their args dicts and stacks, as one parse's do,
+    walk to what events with a fresh dict and tuple each walk to, with the
+    caches cleared at every entry and at their default bound.  The fresh
+    copies are made as the walk reads them and dropped after, so their
+    ids are reused.  Two walks with different lock symbols read one
+    parse's stacks."""
+    default_bound = sched_analysis._CACHED_OBJECTS
+    for seed in range(3):
+        errors = []
+        shared = list(perf_events(_trace_sharing_payloads_and_stacks(seed), errors))
+        assert not errors
+        assert len({id(ev.args) for ev in shared}) < len(shared) / 4
+        ordered = canonical_sort(shared)
+        outcomes = {}
+        for lock_symbols in (DEFAULT_LOCK_SYMBOLS, frozenset({"main"})):
+            config = AnalysisConfig(lock_symbols=lock_symbols)
+            runs = []
+            for bound in (1, default_bound):
+                monkeypatch.setattr(sched_analysis, "_CACHED_OBJECTS", bound)
+                runs.append(_walk_outcome(shared, config))
+                runs.append(_walk_outcome((_fresh_copy(ev) for ev in ordered),
+                                          config, ordered=True))
+            assert all(run == runs[0] for run in runs[1:])
+            assert runs[0][2] > 0  # anomalies
+            outcomes[lock_symbols] = runs[0]
+        # the lock symbols change the answer, so each walk read its own
+        assert outcomes[DEFAULT_LOCK_SYMBOLS][1] != outcomes[frozenset({"main"})][1]
 
 
 # --- classify_wait rule table ---
