@@ -19,6 +19,7 @@ import gc
 import io
 import itertools
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -141,6 +142,36 @@ def _spooled_output(out_path):
         else:  # a text-only stdout, such as an io.StringIO
             with io.TextIOWrapper(file, "utf-8", newline="") as text:
                 shutil.copyfileobj(text, sys.stdout)
+
+
+@contextlib.contextmanager
+def _side_file(path):
+    """Yield a text file for `path` (None for no path).  A new or regular
+    file is written beside `path` and takes its place only if the block
+    ends without an error, so a run that fails creates no side file; any
+    other path (a device, a pipe) is written in place."""
+    if not path:
+        yield None
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    try:
+        fd, staged = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".latprof-")
+    except OSError as exc:  # name the path asked for, not the staged one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(staged, 0o666 & ~umask)  # the mode `open` would have given
+        os.replace(staged, target)
+    except BaseException:
+        os.unlink(staged)
+        raise
 
 
 def _detect(name: str, source, override) -> str:
@@ -425,7 +456,10 @@ def cmd_simulate(args) -> int:
     truth = simgen.GroundTruth()
     rows = [] if args.acquisitions else None
     events = simgen.simulate_events(cfg, truth, rows)
-    with _spooled_output(args.out) as spool:
+    # the side files take their places only after the spool is copied out
+    with (_side_file(args.truth) as truth_file,
+          _side_file(args.acquisitions) as acquisitions_file,
+          _spooled_output(args.out) as spool):
         # the run streams into the check or the trace writer; its ledger
         # and acquisition rows are complete once its events are exhausted
         if args.check:
@@ -448,13 +482,11 @@ def cmd_simulate(args) -> int:
         if truth.timed_out:
             print("simulated-time limit hit before completion", file=sys.stderr)
 
-        if args.truth:
-            with open(args.truth, "w", encoding="utf-8") as handle:
-                handle.write(truth.to_json())
-        if args.acquisitions:
-            with open(args.acquisitions, "w", encoding="utf-8") as handle:
-                handle.write(lock_analysis.write_acquisitions_csv(
-                    simgen.lock_acquisitions(rows)))
+        if truth_file is not None:
+            truth_file.write(truth.to_json())
+        if acquisitions_file is not None:
+            acquisitions_file.write(lock_analysis.write_acquisitions_csv(
+                simgen.lock_acquisitions(rows)))
     return 1 if args.check and not report.clean else 0
 
 
@@ -644,7 +676,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # a run leaves only a fixed amount of cyclic garbage (argparse's), so
-    # the cyclic collector would only rescan the growing event lists
+    # the cyclic collector would only rescan what a run grows: the parser's
+    # interns, the folds' state and the sort fallback's event list
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -17,8 +17,7 @@ pops times that never decrease, and the one retraction (a switch-out
 whose grant arrives at its own block instant) happens within that
 instant.  Buffer occupancy is checked as the run goes, and lock
 acquisitions are kept only when asked for, so a run's memory does not
-grow with its length.  `simulate` is the list wrapper that keeps
-everything.
+grow with its length.
 
 Lock acquisitions are recorded against two lock ids per queue: the buffer
 slot pool (held from the empty/full WAIT grant until the complementary
@@ -44,7 +43,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .lock_analysis import LockAcquisition
 from .sched_analysis import SchedWalk, ThreadState, canonical_stream
@@ -155,29 +153,6 @@ class GroundTruth:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class SimResult:
-    """A finished run, held whole: `simulate`'s list of what
-    `simulate_events` streams.
-
-    Switch-out events with the same (semaphore, role) share one read-only
-    stack tuple, and events with the same payload one read-only `args`
-    dict.  `acquisition_rows` holds each lock acquisition as an int tuple
-    (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns) in
-    (grant, tid, grant_seq) order; `acquisitions` builds the matching
-    `LockAcquisition` list on first read.
-    """
-
-    events: list
-    truth: GroundTruth
-    acquisition_rows: list
-    crit_intervals: dict  # queue -> [(start_ns, end_ns, tid)]
-
-    @cached_property
-    def acquisitions(self) -> list:
-        return lock_acquisitions(self.acquisition_rows)
-
-
 def lock_acquisitions(rows) -> list:
     """The `LockAcquisition` of each acquisition row, in row order."""
     return [
@@ -225,18 +200,15 @@ class _Thread:
 
 
 class _Simulator:
-    """One run.  `run()` is the generator of its events; `truth`, and
-    `rows` and `crit_intervals` when given, are filled in as it goes and
-    are complete once it is exhausted."""
+    """One run.  `run()` is the generator of its events; `truth` and
+    `rows` (when given) fill in as it goes and are complete at its end."""
 
-    def __init__(self, cfg: SimConfig, truth: GroundTruth = None, rows=None,
-                 crit_intervals=None):
+    def __init__(self, cfg: SimConfig, truth: GroundTruth = None, rows=None):
         self.cfg = cfg
         self.truth = truth if truth is not None else GroundTruth()
         # (grant_ns, tid, grant_seq, lock_id, request_ns, release_ns), or
         # None to check each acquisition without keeping it
         self.rows = rows
-        self.crit_intervals = crit_intervals  # queue -> [(start_ns, end_ns, tid)], or None
         # events not yet passed on: whole instants up to the current one;
         # a retracted one is None
         self.pending = []
@@ -419,8 +391,6 @@ class _Simulator:
                 return
             if kind == "crit":
                 _, q, dur, delta = action  # delta: +1 adds an item, -1 removes one
-                if self.crit_intervals is not None:
-                    self.crit_intervals[q].append((now, now + dur, thread.tid))
                 self._add_occupancy_delta(now + dur, q, delta)
                 if delta > 0:
                     self.truth.produced += 1
@@ -521,22 +491,12 @@ def simulate_events(cfg: SimConfig, truth: GroundTruth, acquisition_rows=None):
     The config is checked at once.  `truth`, a fresh `GroundTruth`, is
     filled in as the events are drawn and is complete only once they are
     exhausted; so is `acquisition_rows`, when it is a list, which then
-    holds `SimResult.acquisition_rows`.
+    holds each lock acquisition as an int tuple (grant_ns, tid, grant_seq,
+    lock_id, request_ns, release_ns), sorted; `lock_acquisitions` builds
+    their `LockAcquisition`s.  Events share read-only stacks and `args`.
     """
     cfg.validate()
     return _Simulator(cfg, truth, acquisition_rows).run()
-
-
-def simulate(cfg: SimConfig) -> SimResult:
-    """Run the bounded-buffer simulation and keep all of it: the list
-    wrapper over the run `simulate_events` streams, which also keeps each
-    queue's critical sections."""
-    cfg.validate()
-    truth, rows = GroundTruth(), []
-    crit_intervals = {q: [] for q in range(cfg.queues)}
-    events = list(_Simulator(cfg, truth, rows, crit_intervals).run())
-    return SimResult(events=events, truth=truth, acquisition_rows=rows,
-                     crit_intervals=crit_intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +537,7 @@ def replay_check(events, truth: GroundTruth) -> ReplayReport:
 
     One walk, no list and no sort: `events`, any iterable in time order as
     the simulator emits it (`simulate_events` itself, or a prefix of
-    `SimResult.events`), pass through `canonical_stream`, which orders
+    its events), pass through `canonical_stream`, which orders
     each equal-timestamp group as `canonical_sort` would, into a
     `SchedWalk`.  Its sink adds every interval to the walk's wait summary
     and each Sleeping interval at a `wait_*` site to the measured ledger.

@@ -33,11 +33,18 @@ from latprof.parsers import (
 )
 from latprof.profile_agg import FlatProfile, build_call_graph
 from latprof.sched_analysis import ThreadState
-from latprof.simgen import SimConfig, replay_check, simulate
+from latprof.simgen import (
+    GroundTruth,
+    SimConfig,
+    lock_acquisitions,
+    replay_check,
+    simulate_events,
+)
 from latprof.trace_model import Frame, TraceEvent, format_ns, parse_ns
 
 import listings
 from export_reference import parse_bulk_ndjson, parse_csv
+from simruns import whole_run
 from folds import fed, written
 from intervals import walk_intervals
 
@@ -109,9 +116,10 @@ def test_criterion_2_oracle_equivalence():
                 seed=rng.getrandbits(64),
                 jitter=rng.choice([0.0, 0.2]),
             )
-            result = simulate(cfg)
-            assert not result.truth.deadlocked
-            report = replay_check(result.events, result.truth)
+            # the `simulate --check` path: the run streams into the replay
+            truth = GroundTruth()
+            report = replay_check(simulate_events(cfg, truth), truth)
+            assert not truth.deadlocked
             assert report.clean, (cfg, report.discrepancies)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"oracle suite took {elapsed:.1f}s"
@@ -347,20 +355,22 @@ def test_criterion_5_deadlock_demonstration():
         deadlocked_with_cycle = 0
         deadlocked = 0
         for seed in range(100):
-            result = simulate(SimConfig(seed=seed, inverted_wait_order=True, **base))
-            if result.truth.deadlocked:
+            _, truth, rows = whole_run(SimConfig(seed=seed, inverted_wait_order=True,
+                                                 **base))
+            if truth.deadlocked:
                 deadlocked += 1
-                if detect_cycles(build_lock_order_graph(result.acquisitions)):
+                if detect_cycles(build_lock_order_graph(lock_acquisitions(rows))):
                     deadlocked_with_cycle += 1
         assert deadlocked >= 1, "no inverted-order seed reached deadlock"
         assert deadlocked_with_cycle >= 1, \
             "no deadlocked acquisition stream produced a lock-order cycle"
 
         for seed in range(100):
-            result = simulate(SimConfig(seed=seed, inverted_wait_order=False, **base))
-            assert not result.truth.deadlocked
-            assert result.truth.completion_ns is not None
-            assert detect_cycles(build_lock_order_graph(result.acquisitions)) == []
+            _, truth, rows = whole_run(SimConfig(seed=seed, inverted_wait_order=False,
+                                                 **base))
+            assert not truth.deadlocked
+            assert truth.completion_ns is not None
+            assert detect_cycles(build_lock_order_graph(lock_acquisitions(rows))) == []
     except BaseException:
         verdict(False)
         raise

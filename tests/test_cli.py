@@ -17,10 +17,11 @@ from latprof.cli import main
 from latprof.export import PerfScriptWriter
 from latprof.lock_analysis import write_acquisitions_csv
 from latprof.parsers import ParseError
-from latprof.simgen import simulate
+from latprof.simgen import GroundTruth, lock_acquisitions, simulate_events
 
 import listings
 from folds import written
+from simruns import whole_run
 from test_simgen import GOLDEN_RUNS, raised_by_one_ns, small_cfg
 
 PERF_TRACE = (
@@ -519,12 +520,12 @@ def test_simulate_check_deadlock_golden(capsys):
 
 
 def test_simulate_check_prints_a_mismatch(capsys, monkeypatch):
-    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    events, right, _ = whole_run(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
 
     def wrong_run(cfg, truth, acquisition_rows=None):
         # like the simulator, fill the ledger in only as the events run out
-        yield from res.events
-        vars(truth).update(vars(raised_by_one_ns(res.truth, (3, "full_q0"))))
+        yield from events
+        vars(truth).update(vars(raised_by_one_ns(right, (3, "full_q0"))))
 
     monkeypatch.setattr(simgen, "simulate_events", wrong_run)
     code, out, err = run(capsys, "simulate", "--check")
@@ -597,17 +598,50 @@ def test_a_failed_simulate_run_writes_nothing(tmp_path, capsys, monkeypatch):
         real_write(self, text)
 
     monkeypatch.setattr(cli._Spool, "write", write)
-    out, truth = tmp_path / "sim.txt", tmp_path / "truth.json"
+    out = tmp_path / "sim.txt"
+    side = ["--truth", str(tmp_path / "truth.json"),
+            "--acquisitions", str(tmp_path / "acq.csv")]
     for extra in ([], ["--out", str(out)], ["--check"]):
         wakeups.clear()
         spooled.clear()
         code, stdout, err = run(capsys, "simulate", "--producers", "2", "--consumers", "3",
                                 "--capacity", "1", "--items", "20", "--seed", "5",
-                                "--jitter", "0.3", "--truth", str(truth), *extra)
+                                "--jitter", "0.3", *side, *extra)
         assert (code, stdout, err) == (1, "", "latprof: error: injected fault\n"), extra
-        assert not out.exists() and not truth.exists(), extra
+        assert list(tmp_path.iterdir()) == [], extra
         if "--check" not in extra:
             assert spooled, "no rows were written before the fault"
+
+    # an unwritable --out or side file fails the run before either side
+    # file takes its place
+    missing = str(tmp_path / "missing" / "x")
+    for extra in (["--out", missing], ["--acquisitions", missing],
+                  ["--truth", missing]):
+        code, stdout, err = run(capsys, "simulate", "--producers", "1", "--consumers",
+                                "1", "--items", "2", *side, *extra)
+        assert (code, stdout) == (1, ""), extra
+        assert err == f"latprof: error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert list(tmp_path.iterdir()) == [], extra
+
+
+def test_simulate_side_files_go_where_their_paths_lead(tmp_path, capsys):
+    # a link still names the file it led to, which now holds the ledger; a
+    # new file gets the mode `open` gives; a directory fails the run
+    target, link = tmp_path / "ledger.json", tmp_path / "truth.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    acq, plain = tmp_path / "acq.csv", tmp_path / "plain"
+    plain.open("w").close()
+    argv = ["simulate", "--producers", "1", "--consumers", "1", "--items", "2"]
+    code, _, _ = run(capsys, *argv, "--truth", str(link), "--acquisitions", str(acq))
+    assert code == 0
+    assert link.is_symlink() and target.read_text().startswith("{")
+    assert acq.stat().st_mode == plain.stat().st_mode
+    code, stdout, err = run(capsys, *argv, "--truth", str(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert err == f"latprof: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "acq.csv", "ledger.json", "plain", "truth.json"]
 
 
 def test_simulate_invalid_config(capsys):
@@ -932,7 +966,7 @@ def _input_args(tmp_path, name) -> list:
     if name == "two-input":
         texts = TWO_INPUT_TRACE
     else:
-        events = simulate(small_cfg(**GOLDEN_RUNS[name][0])).events
+        events = simulate_events(small_cfg(**GOLDEN_RUNS[name][0]), GroundTruth())
         texts = [written(PerfScriptWriter, events)]
     args = []
     for i, text in enumerate(texts):
@@ -1008,8 +1042,8 @@ LOCKS_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(LOCKS_DIGESTS))
 def test_locks_stdout_digests(tmp_path, capsys, name):
     path = tmp_path / "acq.csv"
-    path.write_text(write_acquisitions_csv(
-        simulate(small_cfg(**GOLDEN_RUNS[name][0])).acquisitions))
+    _, _, rows = whole_run(small_cfg(**GOLDEN_RUNS[name][0]))
+    path.write_text(write_acquisitions_csv(lock_acquisitions(rows)))
     code, out, err = run(capsys, "locks", "--input", str(path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == LOCKS_DIGESTS[name]

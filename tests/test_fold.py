@@ -16,15 +16,15 @@ import pytest
 from latprof import export, parsers, sched_analysis
 from latprof.cli import main
 from latprof.export import PerfScriptWriter
-from latprof.simgen import simulate
+from latprof.simgen import GroundTruth, simulate_events
 
 from folds import written
 from sampled_trace import sampled_trace
 from test_cli import PERF_TRACE
 from test_simgen import GOLDEN_RUNS, small_cfg
 
-_SIM_BLOCKS = written(PerfScriptWriter, simulate(
-    small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0])).events).split("\n\n")
+_SIM_BLOCKS = written(PerfScriptWriter, simulate_events(
+    small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0]), GroundTruth())).split("\n\n")
 
 
 def _join(blocks) -> str:

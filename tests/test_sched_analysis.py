@@ -1,5 +1,7 @@
 import random
+from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +10,11 @@ from latprof.parsers import perf_events
 from latprof.sched_analysis import (
     DEFAULT_LOCK_SYMBOLS,
     AnalysisConfig,
+    OutOfOrder,
     ThreadState,
     WaitSummary,
     canonical_sort,
+    canonical_stream,
     classify_wait,
 )
 from latprof.trace_model import (
@@ -207,6 +211,47 @@ def test_equal_timestamp_permutation_determinism():
         summary = walk_intervals(shuffled)[0].summary
         assert summary.by_tid_reason == reference.by_tid_reason
         assert summary.histogram == reference.histogram
+
+
+def _merged_events(timestamps):
+    """Events at `timestamps` on few cpus, so that equal canonical keys are
+    common; a `next_pid` of "0", "00" or "x" switches out to idle."""
+    return st.builds(
+        lambda ts, cpu, kind: TraceEvent("t", 1, 1, cpu, ts, *kind),
+        timestamps, st.integers(0, 1),
+        st.one_of(
+            st.sampled_from(["sched:sched_wakeup", "sched:sched_waking"]).map(
+                lambda name: (name, {"pid": "5"})),
+            st.sampled_from(["0", "00", "x", "5", "12"]).map(
+                lambda pid: ("sched:sched_switch", {"next_pid": pid})),
+            st.sampled_from(["sched:sched_process_exit", "syscalls:sys_enter_read",
+                             "cpu-clock"]).map(lambda name: (name, {})),
+        ))
+
+
+_TIME_ORDERED_INPUTS = st.lists(
+    st.lists(_merged_events(st.integers(0, 3)), max_size=12).map(
+        lambda events: sorted(events, key=attrgetter("ts"))),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TIME_ORDERED_INPUTS)
+def test_canonical_stream_is_canonical_sort_of_the_concatenation(inputs):
+    streamed = list(canonical_stream([iter(events) for events in inputs]))
+    expected = canonical_sort([ev for events in inputs for ev in events])
+    assert [id(ev) for ev in streamed] == [id(ev) for ev in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIME_ORDERED_INPUTS, st.data())
+def test_canonical_stream_raises_when_an_input_steps_back(inputs, data):
+    # one input ends with an event at the last instant, then one before it
+    stepped = inputs[data.draw(st.integers(0, len(inputs) - 1))]
+    stepped += [data.draw(_merged_events(st.just(3))),
+                data.draw(_merged_events(st.integers(0, 2)))]
+    with pytest.raises(OutOfOrder):
+        list(canonical_stream([iter(events) for events in inputs]))
 
 
 def test_attribute_lock_stack():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -20,15 +21,16 @@ from latprof.simgen import (
     SimConfig,
     SplitMix64,
     _Simulator,
+    lock_acquisitions,
     mutex_lock_id,
     replay_check,
     seconds_to_ns,
-    simulate,
     simulate_events,
     slots_lock_id,
 )
 
 from folds import written
+from simruns import whole_run
 
 SEC = 10**9
 MS = 10**6
@@ -77,16 +79,16 @@ def test_golden_hand_traced_run():
     # t=3:   C takes full and mutex, crit [3,3.1], SIGNAL(empty) at 3.1
     #        wakes P: P blocked on empty exactly once, for 1.0 s
     # P finishes its second item at 3.2; C consumes it [6.1,6.2]; done 6.2
-    res = simulate(small_cfg())
-    assert res.truth.blocked == {(1, "empty_q0"): [1 * SEC, 1]}
-    assert res.truth.completion_ns == 6_200_000_000
-    assert res.truth.deadlocked is False
-    assert res.truth.produced == res.truth.consumed == 2
-    assert res.truth.max_occupancy == {0: 1}
-    assert res.truth.pending == []
+    events, truth, rows = whole_run(small_cfg())
+    assert truth.blocked == {(1, "empty_q0"): [1 * SEC, 1]}
+    assert truth.completion_ns == 6_200_000_000
+    assert truth.deadlocked is False
+    assert truth.produced == truth.consumed == 2
+    assert truth.max_occupancy == {0: 1}
+    assert truth.pending == []
 
     # events: 2 initial switch-ins, P's block switch-out, wakeup + switch-in
-    kinds = [(ev.event_name, ev.ts) for ev in res.events]
+    kinds = [(ev.event_name, ev.ts) for ev in events]
     assert kinds == [
         ("sched_switch", 0),
         ("sched_switch", 0),
@@ -94,34 +96,31 @@ def test_golden_hand_traced_run():
         ("sched_wakeup", 3_100_000_000),
         ("sched_switch", 3_100_000_000),
     ]
-    out = res.events[2]
+    out = events[2]
     assert out.args["prev_state"] == "S"
     assert [f.symbol for f in out.stack] == [
         "sem_wait", "wait_empty_q0", "producer_loop", "main"]
     assert all(f.dso == "simgen" for f in out.stack)
 
     # 8 acquisitions: 2 per iteration per thread (slot pool + mutex)
-    assert len(res.acquisitions) == 8
+    acquisitions = lock_acquisitions(rows)
+    assert len(acquisitions) == 8
     slots, mutex = slots_lock_id(0), mutex_lock_id(0)
-    p_iter2 = [a for a in res.acquisitions
+    p_iter2 = [a for a in acquisitions
                if a.tid == 1 and a.lock_id == slots and a.request_ts == 2_100_000_000]
     assert len(p_iter2) == 1 and p_iter2[0].grant_ts == 3_100_000_000
 
 
 def test_blocked_initial_consumer_never_blocks_producer_on_empty():
     # capacity >= total items: empty never exhausts
-    res = simulate(small_cfg(capacity=5, items_per_producer=2))
-    assert all(sem != "empty_q0" for (_, sem) in res.truth.blocked)
+    _, truth, _ = whole_run(small_cfg(capacity=5, items_per_producer=2))
+    assert all(sem != "empty_q0" for (_, sem) in truth.blocked)
 
 
 def test_determinism_bit_identical():
     cfg = small_cfg(producers=2, consumers=2, capacity=2, items_per_producer=5,
                     jitter=0.2, seed=1234)
-    a = simulate(cfg)
-    b = simulate(cfg)
-    assert a.events == b.events
-    assert a.truth == b.truth
-    assert a.acquisitions == b.acquisitions
+    assert whole_run(cfg) == whole_run(cfg)
 
 
 def test_conservation_and_mutual_exclusion_random():
@@ -134,30 +133,34 @@ def test_conservation_and_mutual_exclusion_random():
             critical_ns=rng.randint(1, 5) * MS,
             seed=rng.getrandbits(64), jitter=rng.choice([0.0, 0.2]),
         )
-        res = simulate(cfg)
-        assert res.truth.deadlocked is False
-        assert res.truth.produced == res.truth.consumed == \
+        _, truth, rows = whole_run(cfg)
+        assert truth.deadlocked is False
+        assert truth.produced == truth.consumed == \
             cfg.producers * cfg.items_per_producer
-        for q, intervals in res.crit_intervals.items():
-            ordered = sorted(intervals)
-            for (s1, e1, _), (s2, e2, _) in zip(ordered, ordered[1:]):
-                assert e1 <= s2  # critical sections never overlap
-            assert 0 <= res.truth.max_occupancy[q] <= cfg.capacity
+        # each critical section runs inside one hold of its queue's mutex,
+        # from grant to release, and those holds never overlap
+        holds = [(grant, release) for grant, _, _, lock, _, release in rows
+                 if lock == mutex_lock_id(0)]
+        assert len(holds) == truth.produced + truth.consumed
+        for (_, e1), (s2, _) in zip(holds, holds[1:]):
+            assert e1 <= s2
+        assert 0 <= truth.max_occupancy[0] <= cfg.capacity
 
 
 def test_replay_check_clean_on_simulated_trace():
-    res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
-                             items_per_producer=8, jitter=0.2, seed=99))
-    report = replay_check(res.events, res.truth)
+    truth = GroundTruth()
+    report = replay_check(simulate_events(
+        small_cfg(producers=2, consumers=2, capacity=2, items_per_producer=8,
+                  jitter=0.2, seed=99), truth), truth)
     assert report.clean, report.discrepancies
     assert report.anomalies == 0
 
 
 def test_replay_check_flags_truncation():
-    res = simulate(small_cfg(producers=2, consumers=2, capacity=1,
-                             items_per_producer=10, seed=3))
-    cut = res.events[: max(1, len(res.events) * 9 // 10)]
-    report = replay_check(cut, res.truth)
+    events, truth, _ = whole_run(small_cfg(producers=2, consumers=2, capacity=1,
+                                           items_per_producer=10, seed=3))
+    cut = events[: max(1, len(events) * 9 // 10)]
+    report = replay_check(cut, truth)
     assert report.discrepancies, "dropping events must surface discrepancies"
     assert all(d.kind == "truncation" for d in report.discrepancies)
 
@@ -168,34 +171,34 @@ def test_replay_check_empty():
 
 
 def test_queue_round_robin_assignment():
-    res = simulate(small_cfg(producers=2, consumers=2, queues=2, capacity=1,
-                             items_per_producer=3))
-    assert res.truth.produced == 6
-    assert set(res.truth.max_occupancy) == {0, 1}
+    _, truth, _ = whole_run(small_cfg(producers=2, consumers=2, queues=2,
+                                      capacity=1, items_per_producer=3))
+    assert truth.produced == 6
+    assert set(truth.max_occupancy) == {0, 1}
 
 
 def test_default_order_never_deadlocks_100_seeds():
     for seed in range(100):
-        res = simulate(small_cfg(producers=2, consumers=2, capacity=1,
-                                 items_per_producer=3, produce_ns=1 * MS,
-                                 consume_ns=MS // 10, critical_ns=MS // 10,
-                                 jitter=0.2, seed=seed))
-        assert res.truth.deadlocked is False
-        assert res.truth.completion_ns is not None
+        _, truth, _ = whole_run(small_cfg(producers=2, consumers=2, capacity=1,
+                                          items_per_producer=3, produce_ns=1 * MS,
+                                          consume_ns=MS // 10, critical_ns=MS // 10,
+                                          jitter=0.2, seed=seed))
+        assert truth.deadlocked is False
+        assert truth.completion_ns is not None
 
 
 def test_inverted_order_deadlocks_and_shows_cycle():
     deadlocked = []
     cycles_found = []
     for seed in range(100):
-        res = simulate(small_cfg(producers=2, consumers=2, capacity=1,
-                                 items_per_producer=20, produce_ns=1 * MS,
-                                 consume_ns=MS // 10, critical_ns=MS // 10,
-                                 jitter=0.2, seed=seed,
-                                 inverted_wait_order=True))
-        if res.truth.deadlocked:
+        _, truth, rows = whole_run(small_cfg(producers=2, consumers=2, capacity=1,
+                                             items_per_producer=20, produce_ns=1 * MS,
+                                             consume_ns=MS // 10, critical_ns=MS // 10,
+                                             jitter=0.2, seed=seed,
+                                             inverted_wait_order=True))
+        if truth.deadlocked:
             deadlocked.append(seed)
-            if detect_cycles(build_lock_order_graph(res.acquisitions)):
+            if detect_cycles(build_lock_order_graph(lock_acquisitions(rows))):
                 cycles_found.append(seed)
     assert deadlocked, "no seed deadlocked"
     assert cycles_found, "no deadlocked stream produced a lock-order cycle"
@@ -205,10 +208,10 @@ def test_inverted_order_acquisitions_cross_nest():
     # any inverted run with completed producer and consumer iterations has
     # both mutex->slots and slots->mutex edges; ample capacity keeps the
     # empty semaphore from ever exhausting, so this run completes
-    res = simulate(small_cfg(producers=1, consumers=1, capacity=8,
-                             items_per_producer=4, inverted_wait_order=True))
-    assert res.truth.deadlocked is False
-    graph = build_lock_order_graph(res.acquisitions)
+    _, truth, rows = whole_run(small_cfg(producers=1, consumers=1, capacity=8,
+                                         items_per_producer=4, inverted_wait_order=True))
+    assert truth.deadlocked is False
+    graph = build_lock_order_graph(lock_acquisitions(rows))
     slots, mutex = slots_lock_id(0), mutex_lock_id(0)
     assert mutex in graph.neighbors(slots)
     assert slots in graph.neighbors(mutex)
@@ -216,9 +219,9 @@ def test_inverted_order_acquisitions_cross_nest():
 
 
 def test_default_order_graph_is_acyclic():
-    res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
-                             items_per_producer=5))
-    assert detect_cycles(build_lock_order_graph(res.acquisitions)) == []
+    _, _, rows = whole_run(small_cfg(producers=2, consumers=2, capacity=2,
+                                     items_per_producer=5))
+    assert detect_cycles(build_lock_order_graph(lock_acquisitions(rows))) == []
 
 
 # sha256 of (perf-script text, truth JSON, acquisitions CSV), recorded
@@ -247,29 +250,30 @@ GOLDEN_RUNS = {
 }
 
 
-def _digests(res):
-    texts = (written(PerfScriptWriter, res.events), res.truth.to_json(),
-             write_acquisitions_csv(res.acquisitions))
+def _digests(events, truth, rows):
+    texts = (written(PerfScriptWriter, events), truth.to_json(),
+             write_acquisitions_csv(lock_acquisitions(rows)))
     return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_outputs(name):
     overrides, digests = GOLDEN_RUNS[name]
-    res = simulate(small_cfg(**overrides))
-    assert _digests(res) == digests
+    run = whole_run(small_cfg(**overrides))
+    assert _digests(*run) == digests
+    _, truth, rows = run
     if name == "inverted-deadlock":
-        assert res.truth.deadlocked
+        assert truth.deadlocked
         # producer 2 holds the mutex and consumer 3 a full slot at the stop
-        stop = max(a.release_ts for a in res.acquisitions)
-        wedged = {(a.tid, a.lock_id) for a in res.acquisitions if a.release_ts == stop}
+        stop = max(release for *_, release in rows)
+        wedged = {(tid, lock) for _, tid, _, lock, _, release in rows if release == stop}
         assert wedged == {(2, mutex_lock_id(0)), (3, slots_lock_id(0))}
 
 
 def test_switch_outs_share_one_stack_per_semaphore_and_role():
-    res = simulate(small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0]))
     by_site = {}
-    for ev in res.events:
+    for ev in simulate_events(small_cfg(**GOLDEN_RUNS["jittered-multi-queue"][0]),
+                              GroundTruth()):
         if ev.stack:
             site = (ev.stack[1].symbol, ev.stack[2].symbol)
             assert by_site.setdefault(site, ev.stack) is ev.stack
@@ -286,12 +290,13 @@ def test_check_builds_no_lock_acquisitions(monkeypatch):
 
     monkeypatch.setattr(LockAcquisition, "__post_init__", counting)
     overrides, digests = GOLDEN_RUNS["inverted-deadlock"]
-    res = simulate(small_cfg(**overrides))
-    replay_check(res.events, res.truth)
+    truth = GroundTruth()
+    replay_check(simulate_events(small_cfg(**overrides), truth), truth)
     assert built == []
-    assert _digests(res) == digests
-    assert len(built) == len(res.acquisitions) == len(res.acquisition_rows)
-    assert res.acquisitions is res.acquisitions
+    events, truth, rows = whole_run(small_cfg(**overrides))
+    assert built == []  # keeping the rows builds none either
+    assert _digests(events, truth, rows) == digests
+    assert len(built) == len(rows)
 
 
 @pytest.mark.parametrize("request_ns, grant_ns, release_ns",
@@ -311,13 +316,15 @@ RETRACTING = dict(producers=2, consumers=2, capacity=1, items_per_producer=10,
 @pytest.mark.parametrize("block_events", [1, simgen._BLOCK_EVENTS])
 @pytest.mark.parametrize("name", ["retracting"] + sorted(GOLDEN_RUNS))
 def test_streamed_run_equals_the_list(monkeypatch, name, block_events):
-    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", block_events)
+    # a run passed on in blocks of `block_events` equals the same run held
+    # whole, in one block, until it ends
     cfg = small_cfg(**(RETRACTING if name == "retracting" else GOLDEN_RUNS[name][0]))
-    truth, rows = GroundTruth(), []
-    events = list(simulate_events(cfg, truth, rows))
-    res = simulate(cfg)
-    assert events == res.events
-    assert (truth, rows) == (res.truth, res.acquisition_rows)
+    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", sys.maxsize)
+    held = whole_run(cfg)
+    monkeypatch.setattr(simgen, "_BLOCK_EVENTS", block_events)
+    streamed = whole_run(cfg)
+    assert streamed == held
+    events, truth, _ = streamed
     assert truth.last_event_ns == events[-1].ts
 
 
@@ -344,11 +351,11 @@ def raised_by_one_ns(truth, key):
 def test_replay_check_flags_a_wrong_ledger_entry_as_mismatch():
     # a deadlocked run has no completion instant, and tid 3's full_q0
     # blocks all completed, so only the analyzer can be at fault for them
-    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    events, truth, _ = whole_run(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
     key = (3, "full_q0")
-    ns, count = res.truth.blocked[key]
-    before = replay_check(res.events, res.truth)
-    after = replay_check(res.events, raised_by_one_ns(res.truth, key))
+    ns, count = truth.blocked[key]
+    before = replay_check(events, truth)
+    after = replay_check(events, raised_by_one_ns(truth, key))
     wrong = Discrepancy(kind="mismatch", tid=3, sem="full_q0", truth_ns=ns + 1,
                         measured_ns=ns, truth_count=count, measured_count=count)
     assert after.discrepancies == sorted(before.discrepancies + [wrong],
@@ -360,11 +367,11 @@ def test_replay_check_on_a_completed_run_flags_one_wrong_entry():
     # The trace is whole: it ends at the run's last event (the final compute
     # ends later, at `completion_ns`, with no event), so nothing marks the
     # wrong entry and it reads as a mismatch.
-    res = simulate(small_cfg(producers=2, consumers=2, capacity=2,
-                             items_per_producer=8, jitter=0.2, seed=99))
-    key = min(res.truth.blocked)
-    ns, count = res.truth.blocked[key]
-    report = replay_check(res.events, raised_by_one_ns(res.truth, key))
+    events, truth, _ = whole_run(small_cfg(producers=2, consumers=2, capacity=2,
+                                           items_per_producer=8, jitter=0.2, seed=99))
+    key = min(truth.blocked)
+    ns, count = truth.blocked[key]
+    report = replay_check(events, raised_by_one_ns(truth, key))
     assert report.discrepancies == [Discrepancy(
         kind="mismatch", tid=key[0], sem=key[1], truth_ns=ns + 1, measured_ns=ns,
         truth_count=count, measured_count=count)]
@@ -377,11 +384,10 @@ def _reverse_equal_timestamp_groups(events):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_replay_check_ignores_order_within_a_timestamp(name):
-    res = simulate(small_cfg(**GOLDEN_RUNS[name][0]))
-    reversed_groups = _reverse_equal_timestamp_groups(res.events)
-    assert reversed_groups != res.events  # the trace has equal-timestamp groups
-    assert replay_check(reversed_groups, res.truth) == replay_check(res.events,
-                                                                    res.truth)
+    events, truth, _ = whole_run(small_cfg(**GOLDEN_RUNS[name][0]))
+    reversed_groups = _reverse_equal_timestamp_groups(events)
+    assert reversed_groups != events  # the trace has equal-timestamp groups
+    assert replay_check(reversed_groups, truth) == replay_check(events, truth)
 
 
 def test_replay_check_kinds_on_a_cut_deadlocked_run():
@@ -389,8 +395,8 @@ def test_replay_check_kinds_on_a_cut_deadlocked_run():
     # ends before the run's last event, so every entry it gets wrong reads
     # "truncation": tid 3's full_q0 wait, cut off asleep, and tid 2's
     # mutex_q0 blocks, which all fall after the cut.
-    res = simulate(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
-    report = replay_check(res.events[: len(res.events) // 2], res.truth)
+    events, truth, _ = whole_run(small_cfg(**GOLDEN_RUNS["inverted-deadlock"][0]))
+    report = replay_check(events[: len(events) // 2], truth)
     assert [(d.kind, d.tid, d.sem) for d in report.discrepancies] == [
         ("truncation", 2, "mutex_q0"), ("truncation", 3, "full_q0"),
         ("truncation", 4, "full_q0")]
