@@ -205,22 +205,11 @@ def _stack_depth(folds):
     return depth
 
 
-def _input_events(args, inputs, depth):
-    """Yield the perf-script events of each input in turn, in input order,
-    their stacks built to `depth`; each input's malformed lines are counted
-    on stderr as it ends (or, when strict, raised)."""
-    for name, stream in inputs:
-        errors = []
-        yield from parsers.perf_events(_perf_lines(name, stream, args), errors,
-                                       args.strict, depth=depth)
-        _note_malformed(name, errors)
-
-
 def _analysis_config(args) -> sched_analysis.AnalysisConfig:
     from . import sched_analysis
 
     lock_symbols = sched_analysis.DEFAULT_LOCK_SYMBOLS
-    if getattr(args, "lock_symbols", None):
+    if getattr(args, "lock_symbols", None) is not None:
         lock_symbols = frozenset(s for s in args.lock_symbols.split(",") if s)
     lookback = sched_analysis.DEFAULT_LOOKBACK_NS
     if getattr(args, "lookback_ms", None) is not None:
@@ -243,58 +232,47 @@ def _fold_events(args, start) -> list:
     and return those folds.
 
     Each event's stack is built only as far as the folds read it (see
-    `_stack_depth`).  When every input is in time order, events stream
-    from the parse through `canonical_stream` into the folds, and no event
-    list is held; the inputs share one `PerfInterns`.  When one steps back
-    in time, that pass is dropped, the inputs are read again from their
-    start, one after another, and every event is `canonical_sort`ed; fresh
-    folds from `start()` are fed that, so the result is the same.  A
-    stream that cannot seek back (a pipe) is first copied to a temporary
-    file.  Malformed-line counts go to stderr in input order either way.
+    `_stack_depth`).  One pass parses the inputs, which share one
+    `PerfInterns`, orders their events and feeds them to fresh folds; it
+    runs with at most two orderings.  First, when every input is in time
+    order, the inputs are merged as they are parsed, and no event list is
+    held.  When one steps back in time, that pass is dropped, every input
+    is read again from its start, one after another, and all their events
+    are sorted; the result is the same.  A stream that cannot seek back (a
+    pipe) is first copied to a temporary file; one given twice ('-' twice)
+    is read once, by the sort alone.  Malformed-line counts go to stderr
+    in input order, once every input has been read without an error.
     """
     from . import sched_analysis
 
+    orders = [lambda sources: sched_analysis.canonical_sort(
+        itertools.chain.from_iterable(sources))]
     with _open_inputs(args.input) as inputs, contextlib.ExitStack() as spools:
-        # a stream given twice ('-' twice) is read once, as the sort reads it
         if len({id(stream) for _, stream in inputs}) == len(inputs):
             inputs = [(name, stream if stream.seekable()
                        else spools.enter_context(_spooled(stream)))
                       for name, stream in inputs]
-            folds = _streamed(args, inputs, start)
-            if folds is not None:
-                return folds
-        # no streaming pass is left: its folds, interns and errors are freed
-        folds = start()
-        _feed(sched_analysis.canonical_sort(
-            _input_events(args, inputs, _stack_depth(folds))), folds)
-        return folds
-
-
-def _streamed(args, inputs, start):
-    """The folds `start()` returns, fed the events of the seekable `inputs`
-    through `canonical_stream`, with each input's malformed lines counted
-    on stderr; None, every input back at its start, when one steps back in
-    time."""
-    from . import sched_analysis
-
-    starts = [stream.tell() for _, stream in inputs]
-    folds = start()
-    depth = _stack_depth(folds)
-    interns = parsers.PerfInterns()
-    errors = [[] for _ in inputs]
-    events = sched_analysis.canonical_stream([
-        parsers.perf_events(_perf_lines(name, stream, args), errs, args.strict,
-                            interns, depth)
-        for (name, stream), errs in zip(inputs, errors)])
-    try:
-        _feed(events, folds)
-    except sched_analysis.OutOfOrder:
-        for (_, stream), pos in zip(inputs, starts):
-            stream.seek(pos)
-        return None
-    for (name, _), errs in zip(inputs, errors):
-        _note_malformed(name, errs)
-    return folds
+            starts = [stream.tell() for _, stream in inputs]
+            orders.insert(0, lambda sources: sched_analysis.canonical_stream(
+                list(sources)))
+        for order in orders:
+            folds = start()
+            depth = _stack_depth(folds)
+            interns = parsers.PerfInterns()
+            errors = [[] for _ in inputs]
+            # lazy: the sort sniffs each input only once the one before is read
+            sources = (parsers.perf_events(_perf_lines(name, stream, args), errs,
+                                           args.strict, interns, depth)
+                       for (name, stream), errs in zip(inputs, errors))
+            try:
+                _feed(order(sources), folds)
+            except sched_analysis.OutOfOrder:
+                for (_, stream), pos in zip(inputs, starts):
+                    stream.seek(pos)
+                continue
+            for (name, _), errs in zip(inputs, errors):
+                _note_malformed(name, errs)
+            return folds
 
 
 def _feed(events, folds) -> None:

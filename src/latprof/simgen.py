@@ -214,8 +214,6 @@ class _Simulator:
         self.pending = []
         self.occupancy = {q: 0 for q in range(cfg.queues)}
         self.truth.max_occupancy = {q: 0 for q in range(cfg.queues)}
-        self.deltas = []  # heap of pending occupancy changes (ns, delta_seq, queue, +-1)
-        self.delta_seq = 0
         self.clock = 0
         self.heap = []
         self.seq = 0
@@ -324,25 +322,17 @@ class _Simulator:
 
     # -- buffer occupancy, checked as the run goes
 
-    def _add_occupancy_delta(self, when: int, q: int, delta: int):
-        self.delta_seq += 1
-        heapq.heappush(self.deltas, (when, self.delta_seq, q, delta))
-
-    def _apply_occupancy_deltas(self, until: int | None):
-        """Apply the pending occupancy changes due at or before `until`
-        (every one, for None), in (time, arrival) order.  A change is
-        queued when its critical section starts, before it is due, so all
-        changes due by `until` are queued by the time `until` is reached."""
-        deltas = self.deltas
+    def _change_occupancy(self, q: int, delta: int):
+        """Add `delta` (+1 or -1) to queue `q`'s occupancy as a critical
+        section starts.  The queue's mutex keeps its sections apart, so no
+        other change to `q` falls between a section's start and its end."""
+        occupancy = self.occupancy[q] = self.occupancy[q] + delta
         capacity = self.cfg.capacity
+        if not 0 <= occupancy <= capacity:
+            raise AssertionError(f"occupancy {occupancy} out of [0, {capacity}]")
         peaks = self.truth.max_occupancy
-        while deltas and (until is None or deltas[0][0] <= until):
-            _, _, q, delta = heapq.heappop(deltas)
-            occupancy = self.occupancy[q] = self.occupancy[q] + delta
-            if not 0 <= occupancy <= capacity:
-                raise AssertionError(f"occupancy {occupancy} out of [0, {capacity}]")
-            if occupancy > peaks[q]:
-                peaks[q] = occupancy
+        if occupancy > peaks[q]:
+            peaks[q] = occupancy
 
     # -- thread programs
 
@@ -391,7 +381,7 @@ class _Simulator:
                 return
             if kind == "crit":
                 _, q, dur, delta = action  # delta: +1 adds an item, -1 removes one
-                self._add_occupancy_delta(now + dur, q, delta)
+                self._change_occupancy(q, delta)
                 if delta > 0:
                     self.truth.produced += 1
                 else:
@@ -447,7 +437,7 @@ class _Simulator:
             self._emit_switch_in(thread, 0)
             self._schedule(0, tid)
 
-        heap, threads, deltas = self.heap, self.threads, self.deltas
+        heap, threads = self.heap, self.threads
         while heap:
             now, tid, _ = heapq.heappop(heap)
             if now > MAX_SIM_NS:
@@ -456,8 +446,6 @@ class _Simulator:
             if now > self.clock:
                 if len(self.pending) >= _BLOCK_EVENTS:
                     yield from self._pending_events()
-                if deltas and deltas[0][0] <= now:
-                    self._apply_occupancy_deltas(now)
                 self.clock = now
             self._advance(threads[tid], now)
         yield from self._pending_events()
@@ -477,7 +465,6 @@ class _Simulator:
                     # close at the stop time so the record stays representable
                     self._record_acquisition(thread.tid, lock, request, grant, seq,
                                              max(self.clock, grant))
-        self._apply_occupancy_deltas(None)
         if self.rows is not None:
             # (grant, tid, grant_seq) order: grant_seq is unique, so it keeps
             # same-instant grants in program order and the rest never decides

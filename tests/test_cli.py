@@ -204,6 +204,19 @@ def test_offcpu_reports_lock_wait(trace_file, capsys):
     assert "0.500000" in out  # 11.0 -> 11.5 blocked
 
 
+@pytest.mark.parametrize("symbols, reason", [
+    (None, "Lock"), ("", "Unknown"), (",", "Unknown"), ("pthread_mutex_lock", "Lock"),
+    ("futex_wait", "Unknown")])
+def test_lock_symbols_empty_list_names_no_symbols(tmp_path, capsys, symbols, reason):
+    path = tmp_path / "mutex.txt"
+    path.write_text(PERF_TRACE.replace("futex_wait", "pthread_mutex_lock"))
+    extra = [] if symbols is None else ["--lock-symbols", symbols]
+    code, out, _ = run(capsys, "offcpu", "--input", str(path), *extra)
+    assert code == 0
+    # the 0.5 s blocked from 11.0 s on
+    assert f"     100  {reason:<14}        0.500000  gzip\n" in out
+
+
 def test_strict_mode_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("this is not perf output\nat all\n")

@@ -7,13 +7,17 @@ event, and memory that does not grow with the trace.  `simulate` and
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
 import tracemalloc
 import unittest.mock
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from latprof import export, parsers, sched_analysis
+from latprof import cli, export, parsers, sched_analysis
 from latprof.cli import main
 from latprof.export import PerfScriptWriter
 from latprof.simgen import GroundTruth, simulate_events
@@ -276,16 +280,14 @@ def test_fold_outputs_match_loading_every_event(tmp_path, capsys, monkeypatch):
 
 
 # (exit code, sha256 of stdout (first 16 hex digits), stderr) when the
-# sort fallback runs, recorded when it loaded each input into a list:
-# "back-then-bad-byte" steps back in its first input, which has a
-# malformed line, and its second input has a byte that is not UTF-8 past
-# where the streaming path stops reading it; "stdin-twice" reads one
-# stream as two inputs, the second read empty
-_BAD_BYTE = ("back-0.txt: 1 malformed lines skipped\n"
-             "latprof: error: back-1.txt: line 131746: byte 0xff is not UTF-8"
+# sort fallback runs: "back-then-bad-byte" steps back in its first input,
+# which has a malformed line, and its second input has a byte that is not
+# UTF-8 past where the streaming path stops reading it; "stdin-twice"
+# reads one stream as two inputs, the second read empty.  A run that ends
+# in an error prints no malformed-line counts, as when it streams.
+_BAD_BYTE = ("latprof: error: back-1.txt: line 131746: byte 0xff is not UTF-8"
              " (invalid start byte)\n")
-_TWICE = ("<stdin>: 2 malformed lines skipped\n"
-          "latprof: error: <stdin>: cannot detect input format; use --format\n")
+_TWICE = "latprof: error: <stdin>: cannot detect input format; use --format\n"
 FALLBACK_OUTPUTS = {
     "back-then-bad-byte": {
         "csv": (1, "e3b0c44298fc1c14", _BAD_BYTE),
@@ -303,7 +305,7 @@ FALLBACK_OUTPUTS = {
 }
 
 
-def test_fallback_counts_each_inputs_malformed_lines_when_it_ends(
+def test_fallback_counts_malformed_lines_only_once_every_input_is_read(
         tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # stderr names the inputs as given
     (tmp_path / "back-0.txt").write_text(_join(
@@ -331,7 +333,9 @@ def test_fallback_frees_the_streaming_pass_before_it_sorts(tmp_path, capsys, mon
     path = tmp_path / "back.txt"
     path.write_text(FOLD_INPUTS["backward-step"][0])
     made = []  # a weak reference to each PerfInterns made
-    alive = []  # at each sort, which of them are alive
+    # at each sort, of each PerfInterns made: None when it is dead, else
+    # how many frames, stacks and payloads it holds
+    alive = []
     real_interns, real_sort = parsers.PerfInterns, sched_analysis.canonical_sort
 
     def interns():
@@ -339,8 +343,11 @@ def test_fallback_frees_the_streaming_pass_before_it_sorts(tmp_path, capsys, mon
         made.append(weakref.ref(obj))
         return obj
 
+    def held(obj):
+        return None if obj is None else (len(obj.frames), len(obj.stacks), len(obj.payloads))
+
     def canonical_sort(events):
-        alive.append([ref() is not None for ref in made])
+        alive.append([held(ref()) for ref in made])
         return real_sort(events)
 
     monkeypatch.setattr(parsers, "PerfInterns", interns)
@@ -351,9 +358,76 @@ def test_fallback_frees_the_streaming_pass_before_it_sorts(tmp_path, capsys, mon
         made.clear()
         alive.clear()
         assert main(argv + ["--input", str(path)]) == 0, verb
-        # the sort is called before the fallback parses anything
-        assert alive == [[False]], verb
+        # the sort is called before the fallback parses anything: the
+        # stream's interns are dead, and the fallback's own are empty
+        assert alive == [[None, (0, 0, 0)]], verb
     capsys.readouterr()
+
+
+# a trace in time order, to split over inputs: the simulator's blocks (all
+# before 0.1 s), then the hand-made ones (from 10 s on)
+_TRACE_BLOCKS = [block for block in _SIM_BLOCKS + _PERF_BLOCKS if block.strip()]
+
+
+@st.composite
+def _split_trace(draw):
+    """The bytes of 1-3 inputs, each holding a time-ordered share of
+    `_TRACE_BLOCKS` and opening with a block, with malformed lines after
+    that first block, and perhaps a byte that is not UTF-8 in an input
+    after the first."""
+    picked = sorted(draw(st.sets(st.integers(0, len(_TRACE_BLOCKS) - 1),
+                                 min_size=1, max_size=40)))
+    count = draw(st.integers(1, min(3, len(picked))))
+    owners = draw(st.lists(st.integers(0, count - 1),
+                           min_size=len(picked), max_size=len(picked)))
+    assume(len(set(owners)) == count)
+    pieces = [[] for _ in range(count)]
+    for at, owner in zip(picked, owners):
+        pieces[owner].append(_TRACE_BLOCKS[at].encode())
+    for line in draw(st.lists(st.sampled_from([b"this is not a header",
+                                               b"\t zz not a frame"]), max_size=4)):
+        owner = draw(st.integers(0, count - 1))
+        pieces[owner].insert(draw(st.integers(1, len(pieces[owner]))), line)
+    if count > 1 and draw(st.booleans()):
+        # perhaps after so many blank lines that the blocks the format sniff
+        # reads (at most 256 bytes each, see below) stop short of it
+        owner = draw(st.integers(1, count - 1))
+        pieces[owner].insert(draw(st.integers(1, len(pieces[owner]))),
+                             b"\n" * draw(st.sampled_from([0, 1000])) + b"\xff")
+    return [b"\n\n".join(blocks) + b"\n" for blocks in pieces]
+
+
+def _out_of_order(inputs):
+    """A `canonical_stream` that gives up at once, as at a backward step."""
+    raise sched_analysis.OutOfOrder
+    yield
+
+
+def _captured(argv) -> tuple:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_trace(), st.integers(16, 256))
+def test_sort_fallback_prints_what_the_stream_prints(texts, block_bytes):
+    # blocks this small put a bad byte past the first block its input reads
+    with tempfile.TemporaryDirectory() as folder, \
+            unittest.mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+        inputs = []
+        for i, data in enumerate(texts):
+            path = os.path.join(folder, f"in-{i}.txt")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            inputs += ["--input", path]
+        for verb in ("offcpu", "report", "csv", "bulk", "json"):
+            argv = _FOLD_VERBS[verb] + inputs
+            streamed = _captured(argv)
+            with unittest.mock.patch.object(sched_analysis, "canonical_stream",
+                                            _out_of_order):
+                assert _captured(argv) == streamed, verb
 
 
 def test_strict_error_in_a_later_input_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -330,11 +330,12 @@ def test_streamed_run_equals_the_list(monkeypatch, name, block_events):
 
 def test_occupancy_out_of_range_raises():
     sim = _Simulator(small_cfg())
-    sim._add_occupancy_delta(5, 0, 1)
-    sim._add_occupancy_delta(5, 0, 1)  # a second item in a buffer of one slot
-    sim._apply_occupancy_deltas(4)  # not due yet
+    sim._change_occupancy(0, 1)
     with pytest.raises(AssertionError, match=r"occupancy 2 out of \[0, 1\]"):
-        sim._apply_occupancy_deltas(5)
+        sim._change_occupancy(0, 1)  # a second item in a buffer of one slot
+    sim = _Simulator(small_cfg())
+    with pytest.raises(AssertionError, match=r"occupancy -1 out of \[0, 1\]"):
+        sim._change_occupancy(0, -1)  # an item taken from an empty buffer
 
 
 def test_config_is_checked_before_the_first_event():
